@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"topocon"
+	"topocon/internal/check"
 	"topocon/internal/ma"
+	"topocon/internal/pager"
 	"topocon/internal/topo"
 )
 
@@ -357,7 +359,7 @@ func BenchmarkExtendPaged(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		pg, err := topocon.NewPager(topocon.PagerConfig{
+		pg, err := pager.New(pager.Config{
 			Dir:      b.TempDir(), // fresh per iteration: spills must write, not skip
 			HotBytes: 2 << 10,
 		})
@@ -365,7 +367,7 @@ func BenchmarkExtendPaged(b *testing.B) {
 			b.Fatal(err)
 		}
 		an, err := topocon.NewAnalyzer(topocon.LossyLink2(),
-			topocon.WithMaxHorizon(benchMaxHorizon), topocon.WithPager(pg))
+			topocon.WithMaxHorizon(benchMaxHorizon), check.WithPager(pg))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -50,6 +50,9 @@ import (
 	"time"
 
 	"topocon"
+	"topocon/internal/ckpt"
+	"topocon/internal/store"
+	"topocon/internal/sweep"
 )
 
 func main() {
@@ -169,7 +172,7 @@ type ckptFlags struct {
 // nothing it already analysed. Exit status mirrors the plain path (130 on
 // interrupt), plus 1 on hard checkpoint mismatches.
 func runCheckpointed(ctx context.Context, adv topocon.Adversary, opts topocon.CheckOptions, ck ckptFlags, workers int, verbose bool) {
-	cfg := topocon.CheckpointConfig{Dir: ck.dir, HotBytes: ck.hotBytes, Every: ck.every}
+	cfg := ckpt.Config{Dir: ck.dir, HotBytes: ck.hotBytes, Every: ck.every}
 	if verbose {
 		fmt.Println("horizon    runs  interned  components  mixed  broadcastable    elapsed")
 		cfg.OnHorizon = func(r topocon.HorizonReport) {
@@ -177,7 +180,7 @@ func runCheckpointed(ctx context.Context, adv topocon.Adversary, opts topocon.Ch
 				r.Horizon, r.Runs, r.InternedRuns, r.Components, r.MixedComponents, r.Broadcastable, r.Elapsed)
 		}
 	}
-	res, info, err := topocon.RunCheckpointed(ctx, adv, cfg, opts, workers)
+	res, info, err := ckpt.RunCheck(ctx, adv, cfg, opts, workers)
 	if info.Resumed {
 		fmt.Fprintf(os.Stderr, "topocheck: resumed at horizon %d from %s\n", info.ResumedAt, ck.dir)
 	}
@@ -238,12 +241,12 @@ func runSweep(path string, workers int, timeout time.Duration, cacheDir, out str
 		NoSymmetry:      noSymmetry,
 	}
 	if cacheDir != "" {
-		st, err := topocon.OpenVerdictStore(cacheDir)
+		st, err := store.Open(cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "topocheck:", err)
 			os.Exit(2)
 		}
-		cfg.Cache = topocon.NewTieredSweepCache(st)
+		cfg.Cache = sweep.NewTieredCache(st)
 	}
 	if verbose {
 		cfg.Progress = func(c topocon.SweepCellResult) {

@@ -3,130 +3,45 @@
 // project's durability, hygiene, cancellation, hot-path and facade
 // invariants as compile-time checks.
 //
-// It speaks two protocols:
+// It takes only package patterns (default ./...), resolves them with
+// `go list -export` from the current directory, and runs every analyzer
+// over every matched package:
 //
-//	topoconvet ./...                  # standalone, via go list
-//	go vet -vettool=$(which topoconvet) ./...   # vet backend, via vet.cfg
+//	topoconvet ./...
 //
-// Each analyzer has a boolean flag (-atomicwrite, -quarantine, ...);
-// naming any analyzer runs only the named ones, and -name=false disables
-// one while keeping the rest. Exit codes follow vet convention: 0 clean,
-// 1 failure, 2 findings.
+// A finding is silenced only by a justified //topocon:allow directive in
+// the source, never by a command-line switch. Exit codes follow vet
+// convention: 0 clean, 1 failure, 2 findings.
 package main
 
 import (
-	"crypto/sha256"
-	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"topocon/internal/lint"
 )
 
-// selfID hashes the running executable so the go command's vet result
-// cache is invalidated whenever the tool is rebuilt.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
-}
-
 func main() {
-	args := os.Args[1:]
-	// The go command's vettool handshake: `-flags` asks for the flag set
-	// as JSON; a `-V` probe asks for a version line.
-	if len(args) == 1 && args[0] == "-flags" {
-		if err := lint.PrintFlags(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "topoconvet: %v\n", err)
+	patterns := os.Args[1:]
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintf(os.Stderr, "topoconvet: unknown flag %s\nusage: topoconvet [packages]\n", p)
 			os.Exit(1)
 		}
-		return
 	}
-	if len(args) >= 1 && strings.HasPrefix(args[0], "-V") {
-		// The go command derives the vet cache key from this line; the
-		// content hash of the executable makes rebuilt tools miss the cache.
-		fmt.Printf("topoconvet version devel buildID=%s\n", selfID())
-		return
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-
-	fs := flag.NewFlagSet("topoconvet", flag.ExitOnError)
-	fs.Usage = usage(fs)
-	enable := make(map[string]*bool)
-	for _, a := range lint.All() {
-		enable[a.Name] = fs.Bool(a.Name, false, a.Doc)
-	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(1)
-	}
-	analyzers := selectAnalyzers(fs, enable)
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		// Invoked by `go vet` on one package unit.
-		os.Exit(lint.RunUnit(rest[0], analyzers, os.Stderr))
-	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	diags, err := lint.LoadAndRun(".", rest, analyzers)
+	diags, err := lint.LoadAndRun(".", patterns, lint.All())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "topoconvet: %v\n", err)
 		os.Exit(1)
 	}
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", d.Pos, d.Message, d.Analyzer)
+		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		os.Exit(2)
-	}
-}
-
-// selectAnalyzers applies vet-style flag semantics: explicitly enabling
-// any analyzer narrows the run to the enabled set; otherwise everything
-// runs except the explicitly disabled.
-func selectAnalyzers(fs *flag.FlagSet, enable map[string]*bool) []*lint.Analyzer {
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) {
-		if _, ok := enable[f.Name]; ok {
-			explicit[f.Name] = *enable[f.Name]
-		}
-	})
-	anyOn := false
-	for _, on := range explicit {
-		if on {
-			anyOn = true
-		}
-	}
-	var out []*lint.Analyzer
-	for _, a := range lint.All() {
-		on, set := explicit[a.Name]
-		switch {
-		case anyOn && set && on:
-			out = append(out, a)
-		case !anyOn && (!set || on):
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func usage(fs *flag.FlagSet) func() {
-	return func() {
-		fmt.Fprintf(os.Stderr, "usage: topoconvet [flags] [packages]\n")
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which topoconvet) [packages]\n\n")
-		fs.PrintDefaults()
 	}
 }

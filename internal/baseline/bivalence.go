@@ -64,8 +64,6 @@ func (c *BivalenceCertificate) String() string {
 // maxChainLen agreement sets. It returns (certificate, true) when consensus
 // is certifiably impossible; (nil, false) means no certificate of that size
 // exists (which does not by itself imply solvability).
-//
-//topocon:export
 func ProveBivalent(adv *ma.Oblivious, inputDomain, maxChainLen int) (*BivalenceCertificate, bool) {
 	if maxChainLen < 1 || adv.N() > 8 {
 		// Agreement sets are encoded as single bytes in word keys.

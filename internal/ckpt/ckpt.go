@@ -62,7 +62,7 @@ const (
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"
-	quarantineName  = "quarantine"
+	quarantineName  = fsx.QuarantineDir
 )
 
 // ErrNoCheckpoint reports that the directory holds no usable checkpoint —
@@ -139,12 +139,9 @@ func staleState(dir string) []string {
 // quarantineState moves the named artifacts into a fresh stamped
 // subdirectory of quarantine/, preserving the bytes for inspection.
 func quarantineState(dir string, names []string) error {
-	qdir := filepath.Join(dir, quarantineName, fmt.Sprintf("ckpt.%d", time.Now().UnixNano()))
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return fmt.Errorf("ckpt: quarantine: %w", err)
-	}
+	stamp := fmt.Sprintf("ckpt.%d", time.Now().UnixNano())
 	for _, name := range names {
-		if err := os.Rename(filepath.Join(dir, name), filepath.Join(qdir, name)); err != nil {
+		if err := fsx.Quarantine(dir, filepath.Join(stamp, name)); err != nil {
 			return fmt.Errorf("ckpt: quarantine %s: %w", name, err)
 		}
 	}
@@ -156,8 +153,6 @@ func quarantineState(dir string, names []string) error {
 // by the snapshot itself; Save then writes the interner blob and finally
 // the manifest, each atomically. Saving is only meaningful mid-run:
 // Analyzer.Snapshot rejects unstarted and finished sessions.
-//
-//topocon:export
 func Save(dir string, a *check.Analyzer) error {
 	pg := a.Pager()
 	if pg == nil {
@@ -192,8 +187,6 @@ func Save(dir string, a *check.Analyzer) error {
 // the new process's observers (WithProgress, WithParallelism); the analysis
 // configuration always comes from the checkpoint. See the package comment
 // for the validation and error contract.
-//
-//topocon:export
 func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerOption) (*check.Analyzer, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -284,8 +277,6 @@ type Info struct {
 // checkpoint directory once the verdict is in. On a context cancellation
 // the last completed horizon is checkpointed before returning, so a killed
 // run loses at most the horizon in flight.
-//
-//topocon:export
 func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Options, parallelism int) (*check.Result, *Info, error) {
 	every := cfg.Every
 	if every <= 0 {

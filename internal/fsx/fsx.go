@@ -68,3 +68,21 @@ func AtomicWrite(path string, data []byte, perm os.FileMode) error {
 	}
 	return nil
 }
+
+// QuarantineDir is the subdirectory of a data directory that collects
+// files renamed aside as corrupt or stale.
+const QuarantineDir = "quarantine"
+
+// Quarantine renames the file filepath.Base(name) of dir into
+// dir/quarantine/name, creating the directories it needs. Bad data is
+// moved aside for inspection, never deleted. A name with a directory part
+// groups several files under one subdirectory of quarantine/: ckpt moves
+// a whole checkpoint with names like "ckpt.<stamp>/ckpt.manifest".
+// Counting and logging failures stays with the caller.
+func Quarantine(dir, name string) error {
+	dst := filepath.Join(dir, QuarantineDir, name)
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		return err
+	}
+	return os.Rename(filepath.Join(dir, filepath.Base(name)), dst)
+}

@@ -71,3 +71,33 @@ func assertNoTmp(t *testing.T, dir string) {
 		}
 	}
 }
+
+func TestQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"bad.rec", "a", "b"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Quarantine(dir, "bad.rec"); err != nil {
+		t.Fatal(err)
+	}
+	// A name with a directory part groups files under one subdirectory.
+	for _, name := range []string{"a", "b"} {
+		if err := Quarantine(dir, filepath.Join("stamp.1", name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rel := range []string{"bad.rec", "stamp.1/a", "stamp.1/b"} {
+		got, err := os.ReadFile(filepath.Join(dir, QuarantineDir, rel))
+		if err != nil || string(got) != filepath.Base(rel) {
+			t.Fatalf("quarantined %s = %q, %v", rel, got, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("dir holds %d entries after quarantine, want only %s/", len(entries), QuarantineDir)
+	}
+	if err := Quarantine(dir, "missing"); err == nil {
+		t.Fatal("quarantining a missing file should fail")
+	}
+}

@@ -1,10 +1,9 @@
 // Package lint is the repo's custom static-analysis suite: five analyzers
 // that turn the invariants the runtime tests pin — durable atomic writes,
 // quarantine-never-delete, context threading, allocation-free hot paths,
-// facade/internal symbol sync — into compile-time checks. The suite runs
-// three ways: standalone over package patterns (via go list, see load.go),
-// as a `go vet -vettool=` backend speaking the vet unit protocol (see
-// unit.go), and in-process from tests (fixtures and the repo meta-test).
+// facade-only-re-exports — into compile-time checks. The suite runs two
+// ways: standalone over package patterns (cmd/topoconvet, via go list, see
+// load.go), and in-process from tests (fixtures and the repo meta-test).
 //
 // It is deliberately built on the standard library alone (go/ast,
 // go/types, go/importer) rather than golang.org/x/tools/go/analysis, so
@@ -53,17 +52,11 @@ func (d Diagnostic) String() string {
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Fset *token.FileSet
-	Path string // import path
-	Dir  string // directory on disk
-	// Files are the non-test source files — what analyzers inspect.
-	// AllFiles additionally includes in-package _test.go files when the
-	// unit was compiled with them (the go vet ptest variant); they
-	// participate in type checking and directive indexing only.
-	Files    []*ast.File
-	AllFiles []*ast.File
-	Types    *types.Package
-	Info     *types.Info
+	Fset  *token.FileSet
+	Path  string      // import path
+	Files []*ast.File // non-test source files
+	Types *types.Package
+	Info  *types.Info
 }
 
 // Pass carries one (analyzer, package) run.
@@ -72,7 +65,6 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Path     string
-	Dir      string
 	Pkg      *types.Package
 	Info     *types.Info
 
@@ -99,7 +91,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // analyzer "directive".
 func Run(analyzers []*Analyzer, pkg *Package) []Diagnostic {
 	var out []Diagnostic
-	allow := buildAllowIndex(pkg.Fset, pkg.AllFiles)
+	allow := buildAllowIndex(pkg.Fset, pkg.Files)
 	for _, bad := range allow.malformed {
 		out = append(out, Diagnostic{
 			Analyzer: "directive",
@@ -113,7 +105,6 @@ func Run(analyzers []*Analyzer, pkg *Package) []Diagnostic {
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
 			Path:     pkg.Path,
-			Dir:      pkg.Dir,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
 			allow:    allow,
@@ -226,11 +217,6 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
 		}
 	}
 	return ix
-}
-
-// isTestFile reports whether a file name is a _test.go file.
-func isTestFile(name string) bool {
-	return strings.HasSuffix(name, "_test.go")
 }
 
 // pathBase returns the last segment of an import path.

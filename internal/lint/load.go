@@ -20,7 +20,6 @@ import (
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
@@ -30,52 +29,24 @@ type listPackage struct {
 // LoadPatterns resolves package patterns with `go list -export -deps`
 // (run in dir) and type-checks every matched package from source, with all
 // imports satisfied from the build cache's gc export data — no network, no
-// source re-traversal of dependencies. This is the standalone and in-test
-// entry point; `go vet` invocations go through RunUnit instead, which gets
-// the same information from the vet.cfg file.
+// source re-traversal of dependencies.
 func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,CgoFiles,DepOnly",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
+	listed, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
 	}
-
-	exports := make(map[string]string)
-	var targets []listPackage
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %w", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			targets = append(targets, p)
-		}
-	}
-
+	exports := exportFiles(listed)
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, func(path string) (string, bool) {
 		file, ok := exports[path]
 		return file, ok
 	})
 	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 || len(t.CgoFiles) > 0 {
+	for _, t := range listed {
+		if t.DepOnly || len(t.GoFiles) == 0 || len(t.CgoFiles) > 0 {
 			continue
 		}
-		pkg, err := typecheckFiles(fset, t.ImportPath, t.Dir, absFiles(t.Dir, t.GoFiles), imp, "")
+		pkg, err := typecheckFiles(fset, t.ImportPath, absFiles(t.Dir, t.GoFiles), imp)
 		if err != nil {
 			return nil, err
 		}
@@ -89,29 +60,49 @@ func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
 // exportImporter when the source being type-checked is not part of a
 // module (analyzer fixtures).
 func ListExports(dir string, pkgs []string) (map[string]string, error) {
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, pkgs...)
+	listed, err := goList(dir, pkgs)
+	if err != nil {
+		return nil, err
+	}
+	return exportFiles(listed), nil
+}
+
+// goList runs `go list -export -deps` over the patterns in dir.
+func goList(dir string, patterns []string) ([]listPackage, error) {
+	args := append([]string{
+		"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,DepOnly",
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", pkgs, err, stderr.Bytes())
+		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
 	}
-	exports := make(map[string]string)
+	var out []listPackage
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p listPackage
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return out, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("decoding go list output: %w", err)
 		}
+		out = append(out, p)
+	}
+}
+
+// exportFiles maps each listed package with export data to its file.
+func exportFiles(listed []listPackage) map[string]string {
+	exports := make(map[string]string)
+	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-	return exports, nil
+	return exports
 }
 
 // LoadAndRun loads the patterns and runs the analyzers over every package.
@@ -128,7 +119,7 @@ func LoadAndRun(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnos
 }
 
 // exportImporter wraps the standard gc importer with a resolver mapping
-// import paths to export-data files (from go list or a vet.cfg).
+// import paths to export-data files (from go list).
 func exportImporter(fset *token.FileSet, resolve func(path string) (string, bool)) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := resolve(path)
@@ -139,41 +130,27 @@ func exportImporter(fset *token.FileSet, resolve func(path string) (string, bool
 	})
 }
 
-// typecheckFiles parses and type-checks one package unit. goFiles may
-// include _test.go files (the vet ptest variant); they take part in type
-// checking but are excluded from Package.Files, so analyzers never see
-// them. goVersion, when non-empty, pins the language version ("go1.24").
-func typecheckFiles(fset *token.FileSet, path, dir string, goFiles []string, imp types.Importer, goVersion string) (*Package, error) {
-	var all, nonTest []*ast.File
+// typecheckFiles parses and type-checks one package from its non-test
+// source files.
+func typecheckFiles(fset *token.FileSet, path string, goFiles []string, imp types.Importer) (*Package, error) {
+	var files []*ast.File
 	for _, gf := range goFiles {
 		f, err := parser.ParseFile(fset, gf, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, f)
-		if !isTestFile(gf) {
-			nonTest = append(nonTest, f)
-		}
+		files = append(files, f)
 	}
 	conf := types.Config{
-		Importer:  imp,
-		Sizes:     types.SizesFor("gc", runtime.GOARCH),
-		GoVersion: goVersion,
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	info := newInfo()
-	tpkg, err := conf.Check(path, fset, all, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	return &Package{
-		Fset:     fset,
-		Path:     path,
-		Dir:      dir,
-		Files:    nonTest,
-		AllFiles: all,
-		Types:    tpkg,
-		Info:     info,
-	}, nil
+	return &Package{Fset: fset, Path: path, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // absFiles joins relative file names onto the package directory.

@@ -1,5 +1,5 @@
 // Fixture facade: the facadesync analyzer runs only on the package with
-// import path "topocon" and checks both directions of the facade contract.
+// import path "topocon" and checks that it only re-exports.
 package topocon
 
 import "topocon/internal/eng"

@@ -95,8 +95,6 @@ type Pager struct {
 }
 
 // New opens a pager over cfg.Dir, creating the directory if needed.
-//
-//topocon:export
 func New(cfg Config) (*Pager, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("pager: empty directory")
@@ -347,12 +345,7 @@ func (pg *Pager) Release(id string) {
 // failed move is logged and counted, never swallowed, because a page that
 // cannot be moved aside will be re-read (and re-fail) on every fault.
 func (pg *Pager) quarantine(id string) {
-	qdir := filepath.Join(pg.dir, "quarantine")
-	err := os.MkdirAll(qdir, 0o755)
-	if err == nil {
-		err = os.Rename(pg.pagePath(id), filepath.Join(qdir, id+".page"))
-	}
-	if err != nil {
+	if err := fsx.Quarantine(pg.dir, id+".page"); err != nil {
 		pg.mu.Lock()
 		pg.quarantineErrs++
 		pg.mu.Unlock()

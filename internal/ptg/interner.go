@@ -75,8 +75,6 @@ type internEntry struct {
 const internShardInitialSize = 64
 
 // NewInterner returns an empty interner.
-//
-//topocon:export
 func NewInterner() *Interner {
 	return &Interner{}
 }

@@ -128,8 +128,6 @@ type Leases struct {
 // OpenLeases creates the lease directory if needed. write nil means
 // fsx.AtomicWrite. Leftover temp files from crashed writers are
 // quarantined at open, like Store's.
-//
-//topocon:export
 func OpenLeases(dir string, write WriteFunc) (*Leases, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty lease directory")
@@ -352,13 +350,7 @@ func decodeLease(data []byte) (Lease, error) {
 // a correctness dependency. Callers hold l.mu.
 func (l *Leases) quarantine(name string) {
 	l.quarantined++
-	qdir := filepath.Join(l.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		l.quarantineErrs++
-		log.Printf("store: lease quarantine of %s: %v", name, err)
-		return
-	}
-	if err := os.Rename(filepath.Join(l.dir, name), filepath.Join(qdir, name)); err != nil {
+	if err := fsx.Quarantine(l.dir, name); err != nil {
 		l.quarantineErrs++
 		log.Printf("store: lease quarantine of %s: %v", name, err)
 	}

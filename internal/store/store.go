@@ -50,7 +50,7 @@ const (
 	recordExt = ".rec"
 	tmpExt    = fsx.TmpExt
 	// quarantineDir collects records that failed validation at startup.
-	quarantineDir = "quarantine"
+	quarantineDir = fsx.QuarantineDir
 )
 
 // Stats describes a store's state and traffic.
@@ -84,8 +84,6 @@ type Store struct {
 // in-memory index. Leftover temp files and invalid records are quarantined
 // (never deleted, never fatal); only I/O failures on the directory itself
 // error.
-//
-//topocon:export
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -280,13 +278,7 @@ func (s *Store) loadRecord(name string) (sweep.Key, sweep.Outcome, int64, error)
 // directory, and the operator should hear about it.
 func (s *Store) quarantine(name string) {
 	s.quarantined++
-	qdir := filepath.Join(s.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		s.quarantineErrs++
-		log.Printf("store: quarantine of %s: %v", name, err)
-		return
-	}
-	if err := os.Rename(filepath.Join(s.dir, name), filepath.Join(qdir, name)); err != nil {
+	if err := fsx.Quarantine(s.dir, name); err != nil {
 		s.quarantineErrs++
 		log.Printf("store: quarantine of %s: %v", name, err)
 	}

@@ -13,7 +13,9 @@ package svc
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -167,6 +169,12 @@ type job struct {
 // append adds events (assigning sequence numbers) and wakes streamers.
 func (j *job) append(evts ...Event) {
 	j.mu.Lock()
+	j.appendLocked(evts...)
+	j.mu.Unlock()
+}
+
+// appendLocked is append for a caller that already holds j.mu.
+func (j *job) appendLocked(evts ...Event) {
 	for _, e := range evts {
 		e.Seq = len(j.events) + 1
 		e.Job = j.id
@@ -174,7 +182,6 @@ func (j *job) append(evts ...Event) {
 	}
 	close(j.changed)
 	j.changed = make(chan struct{})
-	j.mu.Unlock()
 }
 
 // terminal reports whether a status is final.
@@ -358,25 +365,27 @@ func (s *Service) submit(j *job) error {
 	if s.closing {
 		return errShutdown
 	}
-	// The job must be fully initialized — id, status, event log — before it
-	// is visible to a runner; a runner may dequeue it the instant the send
-	// below succeeds.
+	// The job must be fully initialized — id, status, event log, persisted
+	// document — before it is visible to a runner; a runner may dequeue it,
+	// finish it and retire its document the instant the send below
+	// succeeds.
 	s.nextID++
 	j.id = fmt.Sprintf("j-%06d", s.nextID)
 	j.status = StatusQueued
 	j.changed = make(chan struct{})
 	j.submitted = time.Now()
 	j.append(Event{Type: "queued"})
+	s.persistJob(j)
 	select {
 	case s.queue <- j:
 	default:
 		s.jobsRejected.Add(1)
+		s.retireJobDoc(j)
 		return errQueueFull
 	}
 	s.jobsSubmitted.Add(1)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.persistJob(j)
 	s.evictLocked()
 	return nil
 }
@@ -424,15 +433,21 @@ func (s *Service) persistJob(j *job) {
 }
 
 // retireJobDoc removes a job's persisted document once it has reached a
-// verdict (done or failed) — the one sanctioned deletion in this package:
-// the verdict now lives in the store, so the document has served its
+// verdict (done or failed), or when the queue refused it — the one
+// sanctioned deletion in this package: the verdict now lives in the store
+// (or the client was told to retry), so the document has served its
 // purpose and holds no information worth preserving. Cancelled jobs keep
-// theirs: shutdown is exactly the case restart resume exists for.
+// theirs: shutdown is exactly the case restart resume exists for. A
+// failure is logged and counted like the other persist paths: a document
+// left behind would be re-run by the next daemon.
 func (s *Service) retireJobDoc(j *job) {
 	if s.cfg.CheckpointDir == "" {
 		return
 	}
-	_ = os.Remove(filepath.Join(s.jobsDir(), j.id+jobDocExt))
+	if err := os.Remove(filepath.Join(s.jobsDir(), j.id+jobDocExt)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.persistErrors.Add(1)
+		log.Printf("svc: retiring job %s: %v", j.id, err)
+	}
 }
 
 // resumeJobs re-submits job documents left behind by an earlier daemon —
@@ -596,18 +611,21 @@ func (s *Service) runJob(j *job) {
 		// status flip so an observed terminal status implies it happened.
 		s.retireJobDoc(j)
 	}
-	j.mu.Lock()
-	j.status = status
-	j.finished = time.Now()
-	j.report = report // may be a well-formed partial report on cancel/timeout
-	j.errMsg = errMsg
-	j.mu.Unlock()
 	evt := Event{Type: status, Error: errMsg}
 	if report != nil {
 		sum := report.Summary
 		evt.Summary = &sum
 	}
-	j.append(evt)
+	// The terminal status and its event land in one critical section: a
+	// streamer that sees the job finished has already been handed its
+	// last event, so no stream can end without it.
+	j.mu.Lock()
+	j.status = status
+	j.finished = time.Now()
+	j.report = report // may be a well-formed partial report on cancel/timeout
+	j.errMsg = errMsg
+	j.appendLocked(evt)
+	j.mu.Unlock()
 }
 
 // Shutdown stops accepting submissions, cancels in-flight jobs (the

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -407,13 +408,16 @@ func TestEventStream(t *testing.T) {
 
 // TestBackpressureAndLimits drives the admission-control surface: queue
 // overflow is 429, oversized bodies are 413, malformed documents are 400,
-// the busy gauge reflects held slots — all while /healthz stays 200.
+// the busy gauge reflects held slots — all while /healthz stays 200. A
+// refused submission leaves no job document for the next daemon.
 func TestBackpressureAndLimits(t *testing.T) {
+	ckptDir := t.TempDir()
 	h := newHarness(t, Config{
-		StoreDir:     t.TempDir(),
-		Workers:      1,
-		MaxQueue:     1,
-		MaxBodyBytes: 2048,
+		StoreDir:      t.TempDir(),
+		CheckpointDir: ckptDir,
+		Workers:       1,
+		MaxQueue:      1,
+		MaxBodyBytes:  2048,
 	})
 	// Occupy the only session slot, so the first job blocks mid-run and
 	// the second fills the queue.
@@ -446,6 +450,9 @@ func TestBackpressureAndLimits(t *testing.T) {
 	if codeC != http.StatusTooManyRequests {
 		t.Fatalf("submit C: status %d, want 429", codeC)
 	}
+	if docs := jobDocs(t, ckptDir); len(docs) != 2 {
+		t.Fatalf("documents with A running and B queued = %v, want 2", docs)
+	}
 
 	m := h.metrics()
 	if m.Sessions.Busy != 1 || m.Sessions.PoolSize != 1 {
@@ -476,6 +483,9 @@ func TestBackpressureAndLimits(t *testing.T) {
 	}
 	if v := h.await(ackB.ID); v.Status != StatusDone {
 		t.Fatalf("job B = %+v", v)
+	}
+	if docs := jobDocs(t, ckptDir); len(docs) != 0 {
+		t.Fatalf("documents left after drain: %v", docs)
 	}
 }
 
@@ -555,5 +565,114 @@ func TestJobListAndLookup(t *testing.T) {
 	}
 	if len(h.svc.Store().Keys()) == 0 {
 		t.Fatal("no stored keys after two jobs")
+	}
+}
+
+// TestFinishedJobsLeaveNoDocuments pins job-document hygiene under fast
+// jobs: a memory-hit job can finish the instant a runner dequeues it, so
+// its document must already be on disk by then — otherwise the runner
+// retires a file that does not exist yet and the late write orphans it.
+func TestFinishedJobsLeaveNoDocuments(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarness(t, Config{Workers: 2, MaxQueue: 128, CheckpointDir: dir})
+	const jobs = 60
+	ids := make([]string, jobs)
+	for i := range ids {
+		code, ack := h.submit(lossyScenario(fmt.Sprintf("quick-%d", i)))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		ids[i] = ack.ID
+	}
+	for _, id := range ids {
+		if v := h.await(id); v.Status != StatusDone {
+			t.Fatalf("job %s = %+v", id, v)
+		}
+	}
+	if m := h.metrics(); m.Cache.MemoryHits == 0 {
+		t.Fatalf("no memory hits; the jobs were not quick: %+v", m.Cache)
+	}
+	if docs := jobDocs(t, dir); len(docs) != 0 {
+		t.Fatalf("%d documents left after every job finished: %v", len(docs), docs)
+	}
+}
+
+// TestEveryStreamEndsWithTerminalEvent follows many concurrent jobs while
+// they run, two ways: over ndjson, where each stream must close only after
+// delivering its job's terminal event, and by spinning on the job's
+// snapshot, where any snapshot that reports the job finished must already
+// end with that event — however the finish interleaves with the readers.
+// Run under -race.
+func TestEveryStreamEndsWithTerminalEvent(t *testing.T) {
+	h := newHarness(t, Config{Workers: 2, MaxQueue: 128})
+	const jobs = 60
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		code, ack := h.submit(lossyScenario(fmt.Sprintf("followed-%d", i)))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		j, ok := h.svc.lookup(ack.ID)
+		if !ok {
+			t.Fatalf("job %s not found", ack.ID)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for {
+				evts, _, done := j.snapshot(0)
+				if !done {
+					runtime.Gosched()
+					continue
+				}
+				if last := evts[len(evts)-1]; !terminal(last.Type) {
+					t.Errorf("job %s: finished snapshot ends on %q", j.id, last.Type)
+				}
+				return
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(h.ts.URL + "/v1/jobs/" + j.id + "/events?format=ndjson")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var last Event
+			scanner := bufio.NewScanner(resp.Body)
+			for scanner.Scan() {
+				if err := json.Unmarshal(scanner.Bytes(), &last); err != nil {
+					t.Errorf("job %s: bad event line %q: %v", j.id, scanner.Text(), err)
+					return
+				}
+			}
+			if !terminal(last.Type) {
+				t.Errorf("job %s: stream ended on %q, not a terminal event", j.id, last.Type)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRetireJobDocCountsFailures: a document that cannot be removed is
+// counted in jobPersistErrors (it would be re-run by the next daemon); one
+// already gone is not an error.
+func TestRetireJobDocCountsFailures(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarness(t, Config{CheckpointDir: dir})
+	s := h.svc
+	s.retireJobDoc(&job{id: "j-000900", doc: []byte("{}")})
+	if n := s.persistErrors.Load(); n != 0 {
+		t.Fatalf("retiring a missing document counted %d errors", n)
+	}
+	// A non-empty directory in the document's place makes the removal fail.
+	stuck := filepath.Join(s.jobsDir(), "j-000901"+jobDocExt)
+	if err := os.MkdirAll(filepath.Join(stuck, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.retireJobDoc(&job{id: "j-000901", doc: []byte("{}")})
+	if m := h.metrics(); m.Paging == nil || m.Paging.JobPersistErrors != 1 {
+		t.Fatalf("paging metrics = %+v, want jobPersistErrors 1", m.Paging)
 	}
 }

@@ -102,8 +102,6 @@ func Decompose(s *Space) *Decomposition {
 // concurrency-safe), and a sequential merge closes the relation across
 // ranges — the transitive closure does not depend on the order unions are
 // applied.
-//
-//topocon:export
 func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 	// Under a symmetry quotient the union-find runs over pseudo-items
 	// (i,k) = rep × group element, indexed i·m+k, whose view rows are the

@@ -200,8 +200,6 @@ func BuildWithInterner(adv ma.Adversary, inputDomain, horizon, maxRuns int, inte
 // order, parents in item order). The final item count is cross-checked
 // against the automaton's independent ma.CountPrefixes; a from-scratch
 // build carries no Refine parent linkage (see Decomposition.Refine).
-//
-//topocon:export
 func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, cfg Config) (*Space, error) {
 	if inputDomain < 1 {
 		return nil, fmt.Errorf("topo: input domain size %d < 1", inputDomain)
