@@ -9,10 +9,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"topocon"
 	"topocon/internal/check"
+	"topocon/internal/ckpt"
 	"topocon/internal/ma"
 	"topocon/internal/pager"
 	"topocon/internal/topo"
@@ -360,7 +363,7 @@ func BenchmarkExtendPaged(b *testing.B) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		pg, err := pager.New(pager.Config{
-			Dir:      b.TempDir(), // fresh per iteration: spills must write, not skip
+			Dir:      b.TempDir(), // fresh per iteration: no run sees another's pages
 			HotBytes: 2 << 10,
 		})
 		if err != nil {
@@ -388,6 +391,47 @@ func BenchmarkExtendPaged(b *testing.B) {
 		if st.PagesSpilled == 0 {
 			b.Fatal("budget never forced a spill; the bench is not measuring paging")
 		}
+	}
+}
+
+// BenchmarkCheckpointSave measures one per-horizon checkpoint of a paged
+// session: a fresh LossyLink3 session is stepped to horizon
+// checkpointBenchHorizon outside the timer (its older rounds spill as it
+// goes, each written once), and the timed ckpt.Save then encodes and
+// writes the newest round's page and the manifest — the cost every
+// checkpointed horizon pays. ns/op includes both durable writes (two
+// fsyncs), so it depends on the filesystem under the test's temp dir.
+func BenchmarkCheckpointSave(b *testing.B) {
+	const checkpointBenchHorizon = 6
+	b.ReportAllocs()
+	ctx := context.Background()
+	root := b.TempDir()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(root, strconv.Itoa(i))
+		pg, err := ckpt.Fresh(dir, 2<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		an, err := check.NewAnalyzer(topocon.LossyLink3(),
+			check.WithMaxHorizon(checkpointBenchHorizon+1), check.WithPager(pg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for an.Horizon() < checkpointBenchHorizon {
+			if _, err := an.Step(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := ckpt.Save(dir, an); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	pages, err := filepath.Glob(filepath.Join(ckpt.PagesDir(filepath.Join(root, "0")), "*.page"))
+	if err != nil || len(pages) != checkpointBenchHorizon {
+		b.Fatalf("checkpoint holds %d pages (%v), want %d", len(pages), err, checkpointBenchHorizon)
 	}
 }
 

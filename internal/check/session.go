@@ -6,22 +6,21 @@ import (
 
 	"topocon/internal/ma"
 	"topocon/internal/pager"
-	"topocon/internal/ptg"
 	"topocon/internal/topo"
 )
 
 // SessionSnapshot is the serializable state of a mid-run Analyzer session:
-// everything needed to resume in a fresh process except the interner blob
-// and the frontier pages themselves, which live in the pager's directory
-// and are carried by reference (internal/ckpt frames, checksums and
-// validates the whole on disk).
+// everything needed to resume in a fresh process except the frontier pages
+// themselves — which also carry the view interner's keys — that live in
+// the pager's directory and are carried by reference (internal/ckpt
+// frames, checksums and validates the whole on disk).
 //
 // Automaton states are deliberately absent (ma.State is opaque); restore
 // recomputes them by deterministic replay over the persisted round graphs,
 // and the decision map — when a separation horizon was already found — is
 // recompiled from the restored separation-horizon decomposition, which
 // reproduces it exactly (BuildDecisionMap is deterministic and the
-// imported interner reassigns identical ViewIDs).
+// interner rebuilt from the pages reassigns identical ViewIDs).
 type SessionSnapshot struct {
 	// Options are the session's resolved options; a resume must run under
 	// exactly these (the checkpoint is only valid for the configuration
@@ -50,8 +49,10 @@ type SessionSnapshot struct {
 // (WithPager) and at least one completed Step, and must not race a running
 // Step — call it from the WithProgress callback (which fires after the
 // horizon commits) or between Step calls. Snapshot persists any
-// not-yet-persisted round of the current chain (the head) as a side effect;
-// it does not advance the session.
+// not-yet-persisted round of the current chain (the head) as a side effect —
+// the round's only encoding: when it stops being the head, the page is
+// registered with the pager, not rewritten. It does not advance the
+// session.
 func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 	if a.pager == nil {
 		return nil, errors.New("check: Snapshot requires a pager (WithPager)")
@@ -85,9 +86,9 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 	return snap, nil
 }
 
-// RestoreAnalyzer rebuilds an Analyzer session from a snapshot, the
-// imported interner of the checkpointed session, and a pager over the page
-// directory the snapshot's rounds reference. The restored session continues
+// RestoreAnalyzer rebuilds an Analyzer session from a snapshot and a pager
+// over the page directory the snapshot's rounds reference; the view
+// interner is rebuilt from the pages. The restored session continues
 // with plain Step/Check calls; the next Step extends from the restored
 // horizon — already-checkpointed horizons are never re-extended (the
 // restored chain satisfies Refine's parent-linkage precondition by
@@ -98,9 +99,9 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 // adversary fingerprint, options match — is internal/ckpt's job; pass extra
 // options (WithProgress, …) for the new process's observers only, never to
 // change the analysis configuration.
-func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Interner, pg *pager.Pager, extra ...AnalyzerOption) (*Analyzer, error) {
-	if snap == nil || interner == nil || pg == nil {
-		return nil, errors.New("check: RestoreAnalyzer: snapshot, interner and pager are required")
+func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, pg *pager.Pager, extra ...AnalyzerOption) (*Analyzer, error) {
+	if snap == nil || pg == nil {
+		return nil, errors.New("check: RestoreAnalyzer: snapshot and pager are required")
 	}
 	if snap.Horizon < 1 || len(snap.Rounds) != snap.Horizon {
 		return nil, fmt.Errorf("check: RestoreAnalyzer: snapshot at horizon %d carries %d rounds", snap.Horizon, len(snap.Rounds))
@@ -130,7 +131,6 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 		InputDomain: a.opts.InputDomain,
 		MaxRuns:     a.opts.MaxRuns,
 		Parallelism: a.parallelism,
-		Interner:    interner,
 		Pager:       pg,
 		Rounds:      snap.Rounds,
 		// The quotient is derived state (pages are symmetry-agnostic): the

@@ -37,8 +37,8 @@ func sessionSeedAdversaries() []ma.Adversary {
 
 // TestSessionSnapshotResumeEquivalence is the check-layer kill-and-resume
 // contract: snapshot a session mid-run, rebuild it in a "fresh process"
-// (imported interner, fresh pager over the same page directory, snapshot
-// passed through JSON), finish both, and require identical verdicts and
+// (fresh pager over the same page directory, snapshot passed through
+// JSON), finish both, and require identical verdicts and
 // identical decision maps — with the resumed session never re-extending an
 // already-checkpointed horizon.
 func TestSessionSnapshotResumeEquivalence(t *testing.T) {
@@ -77,10 +77,9 @@ func TestSessionSnapshotResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Snapshot: %v", adv.Name(), err)
 		}
-		blob := a.SpaceAt(a.Horizon()).Interner.Export()
 
-		// "Fresh process": everything below uses only the page directory,
-		// the interner blob and the JSON form of the snapshot.
+		// "Fresh process": everything below uses only the page directory
+		// and the JSON form of the snapshot.
 		raw, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatalf("%s: marshal snapshot: %v", adv.Name(), err)
@@ -89,12 +88,8 @@ func TestSessionSnapshotResumeEquivalence(t *testing.T) {
 		if err := json.Unmarshal(raw, &snap2); err != nil {
 			t.Fatalf("%s: unmarshal snapshot: %v", adv.Name(), err)
 		}
-		in2, err := ptg.ImportInterner(blob)
-		if err != nil {
-			t.Fatalf("%s: ImportInterner: %v", adv.Name(), err)
-		}
 		firstResumed := -1
-		b, err := RestoreAnalyzer(adv, &snap2, in2, newSessionPager(t, dir, 4<<10),
+		b, err := RestoreAnalyzer(adv, &snap2, newSessionPager(t, dir, 4<<10),
 			WithProgress(func(r HorizonReport) {
 				if firstResumed < 0 {
 					firstResumed = r.Horizon
@@ -195,11 +190,7 @@ func TestSessionSnapshotMidRunPeriodic(t *testing.T) {
 	if taken != 3 || last.Horizon != 3 {
 		t.Fatalf("took %d snapshots, deepest at horizon %d; want 3 at 3", taken, last.Horizon)
 	}
-	in, err := ptg.ImportInterner(a.SpaceAt(3).Interner.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RestoreAnalyzer(adv, last, in, newSessionPager(t, dir, 1))
+	b, err := RestoreAnalyzer(adv, last, newSessionPager(t, dir, 1))
 	if err != nil {
 		t.Fatalf("RestoreAnalyzer from periodic snapshot: %v", err)
 	}
@@ -267,18 +258,11 @@ func TestSessionSnapshotErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := ptg.ImportInterner(a.SpaceAt(a.Horizon()).Interner.Export())
-		if err != nil {
-			t.Fatal(err)
-		}
 		pg := newSessionPager(t, dir, 0)
-		if _, err := RestoreAnalyzer(ma.LossyLink2(), nil, in, pg); err == nil {
+		if _, err := RestoreAnalyzer(ma.LossyLink2(), nil, pg); err == nil {
 			t.Error("nil snapshot accepted")
 		}
-		if _, err := RestoreAnalyzer(ma.LossyLink2(), snap, nil, pg); err == nil {
-			t.Error("nil interner accepted")
-		}
-		if _, err := RestoreAnalyzer(ma.LossyLink2(), snap, in, nil); err == nil {
+		if _, err := RestoreAnalyzer(ma.LossyLink2(), snap, nil); err == nil {
 			t.Error("nil pager accepted")
 		}
 		mangle := func(mutate func(*SessionSnapshot)) *SessionSnapshot {
@@ -297,7 +281,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 			}),
 		}
 		for name, bad := range cases {
-			if _, err := RestoreAnalyzer(ma.LossyLink2(), bad, in, pg); err == nil {
+			if _, err := RestoreAnalyzer(ma.LossyLink2(), bad, pg); err == nil {
 				t.Errorf("%s: RestoreAnalyzer accepted bad snapshot", name)
 			}
 		}

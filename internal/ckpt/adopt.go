@@ -3,16 +3,16 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
 // Adopt moves a dead worker's cell checkpoint at srcDir into the
 // successor's namespace at dstDir, validate-then-rename: the source
-// manifest and interner blob are fully checked first, any stale state in
-// the destination is quarantined, and only then is the whole directory
-// renamed into place — same-filesystem, so the move is atomic and the
+// manifest is fully checked first (its pages are CRC-verified when the
+// successor loads them), any stale state in the destination is
+// quarantined, and only then is the whole directory renamed into place —
+// same-filesystem, so the move is atomic and the
 // pager's relative page paths keep working unchanged. A subsequent Load
 // on dstDir revalidates fingerprint and options as usual, so the
 // successor resumes from the dead worker's deepest analysed horizon with
@@ -45,17 +45,9 @@ func Adopt(srcDir, dstDir string) (int, error) {
 		}
 		return fmt.Errorf("ckpt: adopting %s: %v (checkpoint quarantined): %w", srcDir, detail, ErrNoCheckpoint)
 	}
-	_, blobLen, blobCRC, snap, err := decodeManifest(data)
+	_, snap, err := decodeManifest(data)
 	if err != nil {
 		return 0, corrupt(err)
-	}
-	blob, err := os.ReadFile(internerPath(srcDir))
-	if err != nil {
-		return 0, corrupt(fmt.Errorf("reading interner blob: %v", err))
-	}
-	if len(blob) != blobLen || crc32.ChecksumIEEE(blob) != blobCRC {
-		return 0, corrupt(fmt.Errorf("interner blob does not match manifest (%d bytes, crc %08x; manifest says %d, %08x)",
-			len(blob), crc32.ChecksumIEEE(blob), blobLen, blobCRC))
 	}
 
 	// The destination may hold the successor's own abandoned state from an
@@ -75,7 +67,7 @@ func Adopt(srcDir, dstDir string) (int, error) {
 		// Manifest moves last: it is the commit point, so a crash mid-move
 		// leaves a manifest-less destination that Load treats as no
 		// checkpoint — a fresh start, never a torn resume.
-		for _, name := range []string{pagesDirName, internerName, manifestName} {
+		for _, name := range []string{pagesDirName, manifestName} {
 			src := filepath.Join(srcDir, name)
 			if _, serr := os.Stat(src); serr != nil {
 				continue

@@ -1,36 +1,43 @@
 // Package ckpt persists and resumes whole check.Analyzer sessions. A
-// checkpoint directory holds three things:
+// checkpoint directory holds two things:
 //
-//	pages/         the session pager's spilled frontier pages (package pager,
-//	               each page individually checksummed)
-//	interner.bin   the exported view-interner arena (package ptg)
+//	pages/         the session pager's frontier pages (package pager, one
+//	               per round, each individually checksummed); page t also
+//	               carries the keys of the views its round introduced, so
+//	               the pages rebuild the view interner on restore
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 2, line-framed like internal/store records):
+// Manifest format (version 3, line-framed like internal/store records):
 //
-//	topocon-ckpt 2
+//	topocon-ckpt 3
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
-//	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
-//	crc32 <8 lowercase hex digits, IEEE, over the four lines above>
+//	crc32 <8 lowercase hex digits, IEEE, over the three lines above>
 //
-// Version 2 marks checkpoints written by the symmetry-quotient checker;
-// version-1 checkpoints (full, unquotiented frontiers) are quarantined and
+// Version 3 marks checkpoints whose pages (format topocon-page2) carry the
+// interner's keys; version-2 checkpoints (a separate interner.bin blob)
+// and version-1 ones (full, unquotiented frontiers) are quarantined and
 // recomputed rather than resumed (see manifestVersion).
 //
-// Save writes pages first (via Analyzer.Snapshot), then the interner blob,
-// then the manifest — each through a `.tmp` sibling renamed into place — so
-// a crash at any point leaves either the previous checkpoint or the new
-// one, never a torn mix: the manifest is the commit point.
+// A save costs one round, not one session: Analyzer.Snapshot encodes and
+// writes the page of the newest round only (every older round was
+// persisted when it stopped being the newest, and is never rewritten),
+// then Save writes the manifest — two writes, each through fsx's atomic
+// write (temp sibling, sync, rename) — so a crash at any point leaves either the
+// previous checkpoint or the new one, never a torn mix: the manifest is
+// the commit point. The manifest's size grows with the snapshot's
+// decomposition of the newest round, not with the depth of the session.
 //
 // Load validates strictly and never resumes wrong: a missing manifest is
-// ErrNoCheckpoint; a corrupt manifest, interner blob or page set is moved to
-// the quarantine/ subdirectory (bytes preserved, never deleted) and
-// reported as an error wrapping ErrNoCheckpoint so callers fall back to a
-// clean recompute; an adversary-fingerprint or options mismatch is a hard
-// error (ErrFingerprintMismatch / ErrConfigMismatch) — the checkpoint is
-// intact but belongs to a different analysis, and silently recomputing
-// would mask the misconfiguration.
+// ErrNoCheckpoint; a corrupt manifest or page — every byte read back is
+// CRC-verified, and the pages' views must rebuild the interner densely —
+// moves the directory's contents to the quarantine/ subdirectory (bytes
+// preserved, never deleted) and is reported as an error wrapping
+// ErrNoCheckpoint so callers fall back to a clean recompute; an
+// adversary-fingerprint or options mismatch is a hard error
+// (ErrFingerprintMismatch / ErrConfigMismatch) — the checkpoint is intact
+// but belongs to a different analysis, and silently recomputing would mask
+// the misconfiguration.
 package ckpt
 
 import (
@@ -40,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,18 +57,17 @@ import (
 	"topocon/internal/fsx"
 	"topocon/internal/ma"
 	"topocon/internal/pager"
-	"topocon/internal/ptg"
 )
 
 const (
-	// manifestVersion 2 marks checkpoints written by the symmetry-quotient
-	// checker (DESIGN.md §13): a v1 checkpoint's pages hold the full,
-	// unquotiented frontier, which a quotiented session must not resume
-	// into (the round item counts would mis-shape every page). Version-1
-	// manifests therefore fail decoding, quarantine, and recompute.
-	manifestVersion = 2
+	// manifestVersion 3 marks checkpoints whose pages carry the view
+	// interner's keys (DESIGN.md §9.2). A v2 checkpoint keeps them in a
+	// separate interner.bin and its pages lack the views section; a v1
+	// checkpoint's pages hold the full, unquotiented frontier (DESIGN.md
+	// §13). Older manifests therefore fail decoding, quarantine, and
+	// recompute.
+	manifestVersion = 3
 	manifestName    = "ckpt.manifest"
-	internerName    = "interner.bin"
 	pagesDirName    = "pages"
 	quarantineName  = fsx.QuarantineDir
 )
@@ -84,7 +91,6 @@ var ErrConfigMismatch = errors.New("ckpt: analysis options mismatch")
 func PagesDir(dir string) string { return filepath.Join(dir, pagesDirName) }
 
 func manifestPath(dir string) string { return filepath.Join(dir, manifestName) }
-func internerPath(dir string) string { return filepath.Join(dir, internerName) }
 
 // Exists reports whether dir holds a (syntactically present, not yet
 // validated) checkpoint manifest.
@@ -94,10 +100,10 @@ func Exists(dir string) bool {
 }
 
 // Fresh prepares dir for a brand-new checkpointable session and returns its
-// pager. Any previous checkpoint state — manifest, interner blob, page
-// files — is moved into quarantine/ first: page ids are deterministic
-// (round numbers), so stale pages from an abandoned session must never be
-// visible to a new one.
+// pager. Any previous checkpoint state — manifest, page files, anything an
+// older format left behind — is moved into quarantine/ first: page ids are
+// deterministic (round numbers), so stale pages from an abandoned session
+// must never be visible to a new one.
 func Fresh(dir string, hotBytes int64) (*pager.Pager, error) {
 	if dir == "" {
 		return nil, errors.New("ckpt: empty checkpoint directory")
@@ -117,17 +123,24 @@ func Fresh(dir string, hotBytes int64) (*pager.Pager, error) {
 	return pg, nil
 }
 
-// staleState lists the checkpoint artifacts present in dir.
+// staleState lists what a checkpoint directory holds besides quarantine/
+// and empty directories: the manifest and pages, and whatever an older
+// checkpoint format or an interrupted write left behind. The directory
+// belongs to the checkpoint (Remove deletes it whole), so retiring a
+// checkpoint retires all of it.
 func staleState(dir string) []string {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil
+	}
 	var out []string
-	for _, name := range []string{manifestName, internerName, pagesDirName} {
-		p := filepath.Join(dir, name)
-		st, err := os.Stat(p)
-		if err != nil {
+	for _, e := range entries {
+		name := e.Name()
+		if name == quarantineName {
 			continue
 		}
-		if st.IsDir() {
-			if entries, err := os.ReadDir(p); err != nil || len(entries) == 0 {
+		if e.IsDir() {
+			if sub, err := os.ReadDir(filepath.Join(dir, name)); err != nil || len(sub) == 0 {
 				continue
 			}
 		}
@@ -149,9 +162,9 @@ func quarantineState(dir string, names []string) error {
 }
 
 // Save checkpoints the session into dir. The analyzer must run its pager
-// under PagesDir(dir) (Fresh or Load set this up). Page files are persisted
-// by the snapshot itself; Save then writes the interner blob and finally
-// the manifest, each atomically. Saving is only meaningful mid-run:
+// under PagesDir(dir) (Fresh or Load set this up). The page of the newest
+// round is persisted by the snapshot itself; Save then writes the
+// manifest, atomically. Saving is only meaningful mid-run:
 // Analyzer.Snapshot rejects unstarted and finished sessions.
 func Save(dir string, a *check.Analyzer) error {
 	pg := a.Pager()
@@ -169,17 +182,8 @@ func Save(dir string, a *check.Analyzer) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: encoding snapshot: %w", err)
 	}
-	space := a.SpaceAt(a.Horizon())
-	if space == nil {
-		return errors.New("ckpt: deepest space unavailable")
-	}
-	blob := space.Interner.Export()
-	if err := writeAtomic(internerPath(dir), blob); err != nil {
-		return err
-	}
 	fp := ma.Fingerprint(a.Adversary(), a.Options().MaxHorizon)
-	manifest := encodeManifest(fp, len(blob), crc32.ChecksumIEEE(blob), meta)
-	return writeAtomic(manifestPath(dir), manifest)
+	return writeAtomic(manifestPath(dir), encodeManifest(fp, meta))
 }
 
 // Load resumes the session checkpointed in dir for the given adversary,
@@ -201,7 +205,7 @@ func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerO
 		}
 		return fmt.Errorf("ckpt: %v (checkpoint quarantined): %w", detail, ErrNoCheckpoint)
 	}
-	fp, blobLen, blobCRC, snap, err := decodeManifest(data)
+	fp, snap, err := decodeManifest(data)
 	if err != nil {
 		return nil, corrupt(err)
 	}
@@ -209,26 +213,15 @@ func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerO
 		return nil, fmt.Errorf("%w: checkpoint %s vs adversary %q %s",
 			ErrFingerprintMismatch, shortHex(fp), adv.Name(), shortHex(want))
 	}
-	blob, err := os.ReadFile(internerPath(dir))
-	if err != nil {
-		return nil, corrupt(fmt.Errorf("reading interner blob: %v", err))
-	}
-	if len(blob) != blobLen || crc32.ChecksumIEEE(blob) != blobCRC {
-		return nil, corrupt(fmt.Errorf("interner blob does not match manifest (%d bytes, crc %08x; manifest says %d, %08x)",
-			len(blob), crc32.ChecksumIEEE(blob), blobLen, blobCRC))
-	}
-	interner, err := ptg.ImportInterner(blob)
-	if err != nil {
-		return nil, corrupt(err)
-	}
 	pg, err := pager.New(pager.Config{Dir: PagesDir(dir), HotBytes: hotBytes})
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	a, err := check.RestoreAnalyzer(adv, snap, interner, pg, extra...)
+	a, err := check.RestoreAnalyzer(adv, snap, pg, extra...)
 	if err != nil {
-		// Structural failure or a corrupt/missing page: the checkpoint
-		// cannot be trusted, so it is retired and the caller recomputes.
+		// Structural failure, a corrupt/missing page or views that do not
+		// rebuild the interner: the checkpoint cannot be trusted, so it is
+		// retired and the caller recomputes.
 		return nil, corrupt(err)
 	}
 	return a, nil
@@ -362,57 +355,57 @@ func writeAtomic(path string, data []byte) error {
 }
 
 // encodeManifest renders the versioned, checksummed manifest bytes.
-func encodeManifest(fp string, blobLen int, blobCRC uint32, meta []byte) []byte {
+func encodeManifest(fp string, meta []byte) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "topocon-ckpt %d\n", manifestVersion)
 	fmt.Fprintf(&b, "fingerprint %s\n", fp)
-	fmt.Fprintf(&b, "interner %d %08x\n", blobLen, blobCRC)
 	fmt.Fprintf(&b, "meta %s\n", meta)
 	fmt.Fprintf(&b, "crc32 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
 	return b.Bytes()
 }
 
-// decodeManifest parses and fully validates manifest bytes.
-func decodeManifest(data []byte) (fp string, blobLen int, blobCRC uint32, snap *check.SessionSnapshot, err error) {
+// decodeManifest parses and fully validates manifest bytes. The version is
+// checked before anything else, so an older manifest reports its version
+// rather than a layout error.
+func decodeManifest(data []byte) (fp string, snap *check.SessionSnapshot, err error) {
 	lines := strings.Split(string(data), "\n")
-	if len(lines) != 6 || lines[5] != "" {
-		return "", 0, 0, nil, errors.New("manifest must be exactly 5 newline-terminated lines")
-	}
 	var version int
 	if _, serr := fmt.Sscanf(lines[0], "topocon-ckpt %d", &version); serr != nil ||
 		lines[0] != fmt.Sprintf("topocon-ckpt %d", version) {
-		return "", 0, 0, nil, fmt.Errorf("bad header %q", lines[0])
+		return "", nil, fmt.Errorf("bad header %q", lines[0])
 	}
 	if version != manifestVersion {
-		return "", 0, 0, nil, fmt.Errorf("unsupported manifest version %d", version)
+		return "", nil, fmt.Errorf("unsupported manifest version %d", version)
 	}
-	sumLine, ok := strings.CutPrefix(lines[4], "crc32 ")
+	if len(lines) != 5 || lines[4] != "" {
+		return "", nil, errors.New("manifest must be exactly 4 newline-terminated lines")
+	}
+	sumLine, ok := strings.CutPrefix(lines[3], "crc32 ")
 	if !ok || len(sumLine) != 8 {
-		return "", 0, 0, nil, fmt.Errorf("bad checksum line %q", lines[4])
+		return "", nil, fmt.Errorf("bad checksum line %q", lines[3])
 	}
-	body := strings.Join(lines[:4], "\n") + "\n"
+	body := strings.Join(lines[:3], "\n") + "\n"
 	if want := fmt.Sprintf("%08x", crc32.ChecksumIEEE([]byte(body))); sumLine != want {
-		return "", 0, 0, nil, fmt.Errorf("checksum mismatch (%s != %s)", sumLine, want)
+		return "", nil, fmt.Errorf("checksum mismatch (%s != %s)", sumLine, want)
 	}
 	fp, ok = strings.CutPrefix(lines[1], "fingerprint ")
-	if !ok || fp == "" || strings.ContainsAny(fp, " \t") {
-		return "", 0, 0, nil, fmt.Errorf("bad fingerprint line %q", lines[1])
+	if !ok || fp == "" || strings.ContainsAny(fp, " \t\r") {
+		return "", nil, fmt.Errorf("bad fingerprint line %q", lines[1])
 	}
-	if n, serr := fmt.Sscanf(lines[2], "interner %d %08x", &blobLen, &blobCRC); serr != nil || n != 2 || blobLen < 0 ||
-		lines[2] != fmt.Sprintf("interner %d %08x", blobLen, blobCRC) {
-		return "", 0, 0, nil, fmt.Errorf("bad interner line %q", lines[2])
-	}
-	meta, ok := strings.CutPrefix(lines[3], "meta ")
+	meta, ok := strings.CutPrefix(lines[2], "meta ")
 	if !ok {
-		return "", 0, 0, nil, fmt.Errorf("bad meta line %q", lines[3])
+		return "", nil, fmt.Errorf("bad meta line %q", lines[2])
 	}
 	dec := json.NewDecoder(strings.NewReader(meta))
 	dec.DisallowUnknownFields()
 	snap = new(check.SessionSnapshot)
 	if derr := dec.Decode(snap); derr != nil {
-		return "", 0, 0, nil, fmt.Errorf("decoding session meta: %v", derr)
+		return "", nil, fmt.Errorf("decoding session meta: %v", derr)
 	}
-	return fp, blobLen, blobCRC, snap, nil
+	if _, terr := dec.Token(); terr != io.EOF {
+		return "", nil, errors.New("trailing data after session meta")
+	}
+	return fp, snap, nil
 }
 
 func shortHex(s string) string {

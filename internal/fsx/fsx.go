@@ -9,7 +9,8 @@
 // The idiom used to be hand-rolled in internal/{store,pager,ckpt,svc};
 // those copies had drifted (none synced, one swallowed the rename error).
 // The atomicwrite analyzer in internal/lint now enforces that these
-// packages write through AtomicWrite and nothing else.
+// packages write through AtomicWrite (or AtomicWriteChunks, the same
+// idiom over several buffers) and nothing else.
 package fsx
 
 import (
@@ -33,6 +34,13 @@ const TmpExt = ".tmp"
 // rename is a same-filesystem atomic replace, and a crash can only leave a
 // `*.tmp` sibling — which directory scans recognize by TmpExt.
 func AtomicWrite(path string, data []byte, perm os.FileMode) error {
+	return AtomicWriteChunks(path, perm, data)
+}
+
+// AtomicWriteChunks is AtomicWrite of the concatenation of chunks, which
+// are written one after another rather than concatenated in memory, so a
+// large payload needs no framed copy while it is synced.
+func AtomicWriteChunks(path string, perm os.FileMode, chunks ...[]byte) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -48,8 +56,10 @@ func AtomicWrite(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmp)
 		return fmt.Errorf("atomic write %s: %s: %w", path, op, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		return fail("write", err)
+	for _, c := range chunks {
+		if _, err := f.Write(c); err != nil {
+			return fail("write", err)
+		}
 	}
 	// Sync before rename: the rename must never be durable before the data
 	// it commits (a crash between the two would atomically install an empty

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -163,13 +164,25 @@ func (g Graph) Equal(h Graph) bool {
 	return true
 }
 
-// Key returns a compact canonical representation usable as a map key.
+// Key returns a compact canonical representation usable as a map key: the
+// node count in decimal, a colon, then every in-mask in lowercase hex
+// followed by a dot ("2:1.3." is the graph 1→2). ma.Fingerprint sorts
+// transitions by these strings and verdict-store keys hash the
+// fingerprints, so the layout is frozen. The string is sized exactly and
+// built in one allocation.
 func (g Graph) Key() string {
+	size := len(strconv.Itoa(g.n)) + 1
+	for _, m := range g.in[:g.n] {
+		size += max(1, (bits.Len64(m)+3)/4) + 1
+	}
 	var sb strings.Builder
-	sb.Grow(2 + g.n*3)
-	fmt.Fprintf(&sb, "%d:", g.n)
-	for q := 0; q < g.n; q++ {
-		fmt.Fprintf(&sb, "%x.", g.in[q])
+	sb.Grow(size)
+	var digits [16]byte
+	sb.Write(strconv.AppendInt(digits[:0], int64(g.n), 10))
+	sb.WriteByte(':')
+	for _, m := range g.in[:g.n] {
+		sb.Write(strconv.AppendUint(digits[:0], m, 16))
+		sb.WriteByte('.')
 	}
 	return sb.String()
 }

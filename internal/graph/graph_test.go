@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/bits"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -314,6 +317,80 @@ func TestSortEdges(t *testing.T) {
 	for i := range want {
 		if edges[i] != want[i] {
 			t.Fatalf("SortEdges = %v, want %v", edges, want)
+		}
+	}
+}
+
+// keyReference is the fmt-based encoding Key has always produced; the
+// store keys of every persisted verdict hash strings in exactly this
+// layout.
+func keyReference(g Graph) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d:", g.n)
+	for q := 0; q < g.n; q++ {
+		fmt.Fprintf(&sb, "%x.", g.in[q])
+	}
+	return sb.String()
+}
+
+// TestKeyGolden pins Key's byte layout on the extremes — one node, two
+// and four nodes, MaxNodes — for the self-loop-only ("empty") and the
+// complete ("full") graph, plus random graphs against the reference
+// encoding.
+func TestKeyGolden(t *testing.T) {
+	full := func(n int) Graph {
+		masks := make([]uint64, n)
+		for q := range masks {
+			masks[q] = AllNodes(n)
+		}
+		g, err := FromInMasks(n, masks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	var empty64 strings.Builder
+	empty64.WriteString("64:")
+	for q := 0; q < 64; q++ {
+		fmt.Fprintf(&empty64, "%x.", uint64(1)<<q)
+	}
+	cases := []struct {
+		name string
+		g    Graph
+		want string
+	}{
+		{"zero-value", Graph{}, "0:"},
+		{"n1", New(1), "1:1."},
+		{"n2-empty", New(2), "2:1.2."},
+		{"n2-full", full(2), "2:3.3."},
+		{"n2-left", Left, "2:3.2."},
+		{"n4-empty", New(4), "4:1.2.4.8."},
+		{"n4-full", full(4), "4:f.f.f.f."},
+		{"n64-empty", New(64), empty64.String()},
+		{"n64-full", full(64), "64:" + strings.Repeat("ffffffffffffffff.", 64)},
+	}
+	for _, c := range cases {
+		if got := c.g.Key(); got != c.want {
+			t.Errorf("%s: Key() = %q, want %q", c.name, got, c.want)
+		}
+		if ref := keyReference(c.g); ref != c.want {
+			t.Errorf("%s: reference encoding %q disagrees with the golden %q", c.name, ref, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 5, 9, 17, 33, 63, 64} {
+		for i := 0; i < 50; i++ {
+			masks := make([]uint64, n)
+			for q := range masks {
+				masks[q] = rng.Uint64() & AllNodes(n)
+			}
+			g, err := FromInMasks(n, masks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := g.Key(), keyReference(g); got != want {
+				t.Fatalf("n=%d: Key() = %q, want %q", n, got, want)
+			}
 		}
 	}
 }

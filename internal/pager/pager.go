@@ -3,12 +3,16 @@
 // checksummed page files (atomic temp+rename writes, like internal/store)
 // and their in-memory copies are dropped LRU-first whenever the resident
 // set exceeds a configurable hot-set budget. Owners register an eviction
-// callback when a page is put or faulted; the callback drops the decoded
-// in-memory representation, and the next access faults the page back in
-// from disk.
+// callback when a page is registered or faulted; the callback drops the
+// decoded in-memory representation, and the next access faults the page
+// back in from disk.
 //
-// Pages are write-once: a frontier round never changes after it is built,
-// so eviction needs no write-back and a fault needs no dirty tracking.
+// Writing a page (Persist) and admitting it to the hot set (Register) are
+// separate steps, so an owner that persisted a page early — a checkpoint
+// of the frontier head — registers it later without writing it again; Put
+// is the two composed. Pages are write-once: a frontier round never
+// changes after it is built, so eviction needs no write-back and a fault
+// needs no dirty tracking.
 // Corrupt page files are quarantined (moved aside, never deleted) and the
 // fault reports an error, mirroring internal/store's recovery contract.
 package pager
@@ -28,7 +32,7 @@ import (
 
 // pageMagic is the first line of every page file; the trailing version digit
 // is bumped on incompatible format changes.
-const pageMagic = "topocon-page1\n"
+const pageMagic = "topocon-page2\n"
 
 // Config collects the pager knobs.
 type Config struct {
@@ -44,7 +48,7 @@ type Config struct {
 
 // Stats is a snapshot of the pager counters.
 type Stats struct {
-	// PagesWritten counts Put calls that persisted a new page file.
+	// PagesWritten counts page files written (Persist, or Put).
 	PagesWritten int64 `json:"pagesWritten"`
 	// PagesSpilled counts evictions of resident pages from the hot set.
 	PagesSpilled int64 `json:"pagesSpilled"`
@@ -54,7 +58,7 @@ type Stats struct {
 	HotBytes int64 `json:"hotBytes"`
 	// PeakHotBytes is the high-water mark of HotBytes.
 	PeakHotBytes int64 `json:"peakHotBytes"`
-	// DiskBytes is the total payload bytes persisted on disk.
+	// DiskBytes is the total payload bytes of the page files written.
 	DiskBytes int64 `json:"diskBytes"`
 	// HotPages and TotalPages count resident and registered pages.
 	HotPages   int64 `json:"hotPages"`
@@ -136,18 +140,18 @@ func (pg *Pager) pagePath(id string) string {
 	return filepath.Join(pg.dir, id+".page")
 }
 
-// encodePage frames a payload: magic, uvarint id length + id, uvarint
-// payload length + payload, CRC32 (IEEE, little-endian) over all preceding
+// framePage returns the framing of a page file, head ‖ payload ‖ tail:
+// the head is the magic, uvarint id length + id and uvarint payload
+// length; the tail is the CRC32 (IEEE, little-endian) over all preceding
 // bytes.
-func encodePage(id string, payload []byte) []byte {
-	buf := make([]byte, 0, len(pageMagic)+2*binary.MaxVarintLen64+len(id)+len(payload)+4)
-	buf = append(buf, pageMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(id)))
-	buf = append(buf, id...)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := crc32.ChecksumIEEE(buf)
-	return binary.LittleEndian.AppendUint32(buf, sum)
+func framePage(id string, payload []byte) (head, tail []byte) {
+	head = make([]byte, 0, len(pageMagic)+2*binary.MaxVarintLen64+len(id))
+	head = append(head, pageMagic...)
+	head = binary.AppendUvarint(head, uint64(len(id)))
+	head = append(head, id...)
+	head = binary.AppendUvarint(head, uint64(len(payload)))
+	sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
+	return head, binary.LittleEndian.AppendUint32(nil, sum)
 }
 
 // decodePage validates a page file read for the given id and returns the
@@ -180,12 +184,44 @@ func decodePage(id string, data []byte) ([]byte, error) {
 	return rest[k:], nil
 }
 
-// Put persists a new page and registers it resident. onEvict is invoked
+// Put persists a new page and registers it resident, charging the whole
+// payload to the hot set: Persist then Register. onEvict is invoked
 // (outside the pager lock) if the page is later evicted from the hot set;
-// it must drop the owner's decoded copy so the next access faults. Put on
-// an already-registered id is a programming error.
+// it must drop the owner's decoded copy so the next access faults.
 func (pg *Pager) Put(id string, payload []byte, onEvict func()) error {
-	if err := pg.persist(id, payload); err != nil {
+	if err := pg.Persist(id, payload); err != nil {
+		return err
+	}
+	return pg.Register(id, int64(len(payload)), onEvict)
+}
+
+// Persist writes the framed page file atomically (fsx.AtomicWriteChunks:
+// temp sibling, sync, rename), without registering the page. Any file of
+// that id is replaced: one left by an interrupted, uncommitted save is
+// never trusted. The owner persists each page once and later Registers it
+// (or never does, for a page it keeps resident).
+func (pg *Pager) Persist(id string, payload []byte) error {
+	if err := validID(id); err != nil {
+		return err
+	}
+	head, tail := framePage(id, payload)
+	if err := fsx.AtomicWriteChunks(pg.pagePath(id), 0o644, head, payload, tail); err != nil {
+		return fmt.Errorf("pager: write page %q: %w", id, err)
+	}
+	pg.mu.Lock()
+	pg.written++
+	pg.diskBytes += int64(len(payload))
+	pg.mu.Unlock()
+	return nil
+}
+
+// Register admits an already-persisted page to the hot set as resident
+// (most recently used), charging size bytes against the budget — the size
+// of the owner's decoded copy, which may be less than the payload when the
+// page carries data the owner does not keep resident. Registering an id
+// twice is a programming error.
+func (pg *Pager) Register(id string, size int64, onEvict func()) error {
+	if err := validID(id); err != nil {
 		return err
 	}
 	pg.mu.Lock()
@@ -193,49 +229,16 @@ func (pg *Pager) Put(id string, payload []byte, onEvict func()) error {
 		pg.mu.Unlock()
 		return fmt.Errorf("pager: page %q already registered", id)
 	}
-	e := &entry{id: id, size: int64(len(payload)), resident: true, onEvict: onEvict}
+	e := &entry{id: id, size: size, resident: true, onEvict: onEvict}
 	pg.entries[id] = e
 	pg.pushFront(e)
 	pg.hotBytes += e.size
 	if pg.hotBytes > pg.peakHotBytes {
 		pg.peakHotBytes = pg.hotBytes
 	}
-	pg.diskBytes += e.size
-	pg.written++
 	evicted := pg.evictOverBudget(e)
 	pg.mu.Unlock()
 	runEvicts(evicted)
-	return nil
-}
-
-// persist writes the framed page file atomically (fsx.AtomicWrite: temp
-// sibling, sync, rename). An existing file for the id is left untouched:
-// pages are content-stable, so re-persisting after a resume is a no-op.
-func (pg *Pager) persist(id string, payload []byte) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	path := pg.pagePath(id)
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	if err := fsx.AtomicWrite(path, encodePage(id, payload), 0o644); err != nil {
-		return fmt.Errorf("pager: write page %q: %w", id, err)
-	}
-	return nil
-}
-
-// Persist writes a page file without registering it in the hot set. It is
-// the checkpoint path for pages whose owner keeps them unconditionally
-// resident (the head frontier round): the file makes the page restorable,
-// and a later Put of the same id registers it without rewriting.
-func (pg *Pager) Persist(id string, payload []byte) error {
-	if err := pg.persist(id, payload); err != nil {
-		return err
-	}
-	pg.mu.Lock()
-	pg.written++
-	pg.mu.Unlock()
 	return nil
 }
 
@@ -258,20 +261,9 @@ func (pg *Pager) ReadPage(id string) ([]byte, error) {
 	return payload, nil
 }
 
-// SizeOf returns the payload size of a registered page.
-func (pg *Pager) SizeOf(id string) (int64, bool) {
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	e, ok := pg.entries[id]
-	if !ok {
-		return 0, false
-	}
-	return e.size, true
-}
-
 // Adopt registers an already-persisted page (from a checkpoint being
-// resumed) as cold. size is the payload byte count recorded alongside the
-// page reference; the file itself is validated on first Fault.
+// resumed) as cold. size is what the page charges against the budget while
+// resident, as for Register; the file itself is validated on every Fault.
 func (pg *Pager) Adopt(id string, size int64, onEvict func()) error {
 	if err := validID(id); err != nil {
 		return err
@@ -282,7 +274,6 @@ func (pg *Pager) Adopt(id string, size int64, onEvict func()) error {
 		return fmt.Errorf("pager: page %q already registered", id)
 	}
 	pg.entries[id] = &entry{id: id, size: size, onEvict: onEvict}
-	pg.diskBytes += size
 	return nil
 }
 
@@ -310,7 +301,6 @@ func (pg *Pager) Fault(id string, onEvict func()) ([]byte, error) {
 	e.onEvict = onEvict
 	if !e.resident {
 		e.resident = true
-		e.size = int64(len(payload))
 		pg.pushFront(e)
 		pg.hotBytes += e.size
 		if pg.hotBytes > pg.peakHotBytes {

@@ -37,6 +37,35 @@ func TestPutFaultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistThenRegister pins the split of Put: Persist writes (and
+// counts) the file without admitting it to the hot set, Register admits it
+// without writing, charging the size the owner declares — also across an
+// eviction and a fault.
+func TestPersistThenRegister(t *testing.T) {
+	pg := newTestPager(t, 0)
+	payload := []byte("views section, then the column section")
+	if err := pg.Persist("round-001", payload); err != nil {
+		t.Fatalf("Persist: %v", err)
+	}
+	if _, err := pg.Fault("round-001", nil); err == nil {
+		t.Fatal("Fault of a persisted but unregistered page succeeded")
+	}
+	if err := pg.Register("round-001", 7, nil); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if err := pg.Register("round-001", 7, nil); err == nil {
+		t.Fatal("double Register succeeded")
+	}
+	pg.Release("round-001")
+	if _, err := pg.Fault("round-001", nil); err != nil {
+		t.Fatalf("Fault: %v", err)
+	}
+	st := pg.Stats()
+	if st.PagesWritten != 1 || st.HotBytes != 7 || st.DiskBytes != int64(len(payload)) {
+		t.Fatalf("stats = %+v, want 1 written, 7 hot bytes, %d disk bytes", st, len(payload))
+	}
+}
+
 func TestBudgetEvictsLRU(t *testing.T) {
 	pg := newTestPager(t, 25)
 	evicted := map[string]bool{}

@@ -2,85 +2,87 @@ package ptg
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
-// Export serializes the interner's key arena in ID order: uvarint count,
-// then for each ViewID 0..count-1 the uvarint-length-prefixed canonical key
-// encoding. Because IDs are dense and assigned in insertion order,
-// re-interning the exported keys in order into a fresh interner reproduces
-// the identical ID assignment — the determinism checkpoint/resume rests on.
+// AppendKeys appends the canonical key encodings of the views lo..hi-1 to
+// buf in ID order, each as a uvarint length followed by the key bytes, and
+// returns the extended buffer. Because IDs are dense and assigned in
+// insertion order, importing consecutive ranges into a fresh interner
+// (ImportKeys) reproduces the identical ID assignment — the determinism a
+// checkpoint resume rests on.
 //
-// Export is safe to call concurrently with interning; it captures the IDs
-// assigned before the call (views interned concurrently may or may not be
-// included, but the exported prefix is always self-consistent).
-func (in *Interner) Export() []byte {
-	count := in.next.Load()
-	type exported struct {
-		id  ViewID
-		key []byte
+// The cost is O(hi-lo) plus a binary search per shard — within a shard,
+// entries are appended under the shard lock in ID order — so exporting one
+// round's new views never touches the rest of the arena, and buf grows at
+// most once. AppendKeys is safe to call concurrently with interning; it
+// panics if hi exceeds Size().
+func (in *Interner) AppendKeys(buf []byte, lo, hi ViewID) []byte {
+	if lo < 0 || lo > hi || int(hi) > in.Size() {
+		panic(fmt.Sprintf("ptg: AppendKeys(%d, %d) outside interner of size %d", lo, hi, in.Size()))
 	}
-	all := make([]exported, 0, count)
+	var entries [internShards][]internEntry
+	var arenas [internShards][]byte
+	loc := make([]uint64, hi-lo) // by id-lo: shard<<32 | entry index
+	size := 0
 	for si := range in.shards {
 		sh := &in.shards[si]
 		sh.mu.Lock()
-		entries := sh.entries
-		arena := sh.arena
+		es, arena := sh.entries, sh.arena
 		sh.mu.Unlock()
-		// entries and arena are append-only: the captured headers cover an
-		// immutable prefix even if interning continues concurrently.
-		for ei := range entries {
-			e := &entries[ei]
-			if e.id < ViewID(count) {
-				all = append(all, exported{id: e.id, key: arena[e.off : e.off+e.klen]})
-			}
+		// Every ID below hi was assigned (and its entry appended) under a
+		// shard lock before the call, so the captured headers cover it.
+		entries[si], arenas[si] = es, arena
+		first := sort.Search(len(es), func(i int) bool { return es[i].id >= lo })
+		for ei := first; ei < len(es) && es[ei].id < hi; ei++ {
+			loc[es[ei].id-lo] = uint64(si)<<32 | uint64(ei)
+			size += uvarintLen(uint64(es[ei].klen)) + int(es[ei].klen)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	size := binary.MaxVarintLen64
-	for _, e := range all {
-		size += binary.MaxVarintLen32 + len(e.key)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(all)))
-	for _, e := range all {
-		buf = binary.AppendUvarint(buf, uint64(len(e.key)))
-		buf = append(buf, e.key...)
+	buf = slices.Grow(buf, size)
+	for _, l := range loc {
+		e := &entries[l>>32][uint32(l)]
+		buf = binary.AppendUvarint(buf, uint64(e.klen))
+		buf = append(buf, arenas[l>>32][e.off:e.off+e.klen]...)
 	}
 	return buf
 }
 
-// ImportInterner rebuilds an interner from an Export payload, verifying
-// that re-interning reproduces the dense ID sequence exactly. Any framing
-// violation or ID mismatch is an error; a partially-imported interner is
-// never returned.
-func ImportInterner(data []byte) (*Interner, error) {
-	count, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("ptg: interner import: bad count")
+// ImportKeys interns count keys, encoded as AppendKeys writes them, as the
+// views lo, lo+1, … of an interner that holds exactly lo views, verifying
+// that every key receives exactly its expected ID: a truncated list,
+// trailing bytes, an empty key or a key already interned (a duplicate, or
+// a range that does not continue the interner) is an error. On error the
+// interner may hold a prefix of the keys and must be discarded.
+func (in *Interner) ImportKeys(lo ViewID, count int, list []byte) error {
+	if size := in.Size(); int(lo) != size {
+		return fmt.Errorf("ptg: importing views from id %d into an interner of size %d", lo, size)
 	}
-	if count > 1<<31-1 {
-		return nil, fmt.Errorf("ptg: interner import: count %d out of range", count)
+	if count < 0 || int64(lo)+int64(count) > math.MaxInt32 {
+		return fmt.Errorf("ptg: importing %d views from id %d overflows the id space", count, lo)
 	}
-	data = data[k:]
-	in := NewInterner()
-	for i := uint64(0); i < count; i++ {
-		klen, k := binary.Uvarint(data)
-		if k <= 0 || klen > uint64(len(data)-k) {
-			return nil, fmt.Errorf("ptg: interner import: bad key length at id %d", i)
+	for i := 0; i < count; i++ {
+		want := lo + ViewID(i)
+		klen, k := binary.Uvarint(list)
+		if k <= 0 || klen == 0 || klen > uint64(len(list)-k) {
+			return fmt.Errorf("ptg: bad key length for view %d", want)
 		}
-		key := data[k : k+int(klen)]
-		data = data[k+int(klen):]
-		if len(key) == 0 {
-			return nil, fmt.Errorf("ptg: interner import: empty key at id %d", i)
-		}
-		if id := in.intern(key); id != ViewID(i) {
-			return nil, fmt.Errorf("ptg: interner import: key %d re-interned as id %d (duplicate key?)", i, id)
+		key := list[k : k+int(klen)]
+		list = list[k+int(klen):]
+		if id := in.intern(key); id != want {
+			return fmt.Errorf("ptg: key for view %d re-interned as id %d (duplicate key)", want, id)
 		}
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("ptg: interner import: %d trailing bytes", len(data))
+	if len(list) != 0 {
+		return errors.New("ptg: trailing bytes after the imported keys")
 	}
-	return in, nil
+	return nil
 }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return max(1, (bits.Len64(v)+6)/7) }

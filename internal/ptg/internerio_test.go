@@ -1,6 +1,7 @@
 package ptg
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -22,18 +23,26 @@ func buildSampleInterner(t *testing.T) (*Interner, []ViewID) {
 	return in, ids
 }
 
+// TestExportImportRoundTrip exports the arena in consecutive ID ranges
+// (as successive checkpoint pages do) and imports them range by range into
+// a fresh interner: re-interning the same structures must then reproduce
+// the identical IDs without growing the interner, and the imported
+// interner must export the same bytes.
 func TestExportImportRoundTrip(t *testing.T) {
 	in, ids := buildSampleInterner(t)
-	blob := in.Export()
-	got, err := ImportInterner(blob)
-	if err != nil {
-		t.Fatalf("ImportInterner: %v", err)
+	size := ViewID(in.Size())
+	got := NewInterner()
+	for _, r := range [][2]ViewID{{0, 0}, {0, 5}, {5, 12}, {12, 12}, {12, size}} {
+		if err := got.ImportKeys(r[0], int(r[1]-r[0]), in.AppendKeys(nil, r[0], r[1])); err != nil {
+			t.Fatalf("ImportKeys[%d,%d): %v", r[0], r[1], err)
+		}
 	}
 	if got.Size() != in.Size() {
 		t.Fatalf("imported size %d, want %d", got.Size(), in.Size())
 	}
-	// Re-interning the same structures in the restored interner must
-	// reproduce the identical IDs.
+	if !bytes.Equal(got.AppendKeys(nil, 0, size), in.AppendKeys(nil, 0, size)) {
+		t.Fatal("the imported interner exports different keys")
+	}
 	var again []ViewID
 	for p := 0; p < 4; p++ {
 		for x := 0; x < 3; x++ {
@@ -54,19 +63,37 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestImportRejectsCorruptBlobs pins that a key list which does not
+// continue the interner densely — a gap, an overlap, an empty or a
+// duplicate key — or is truncated or followed by stray bytes is refused.
 func TestImportRejectsCorruptBlobs(t *testing.T) {
 	in, _ := buildSampleInterner(t)
-	blob := in.Export()
-	cases := map[string][]byte{
-		"empty":     {},
-		"truncated": blob[:len(blob)-3],
-		"trailing":  append(append([]byte(nil), blob...), 0xFF),
+	size := ViewID(in.Size())
+	all := in.AppendKeys(nil, 0, size)
+	first := in.AppendKeys(nil, 0, 1)
+	cases := map[string]func() error{
+		"gap": func() error { return NewInterner().ImportKeys(1, int(size-1), in.AppendKeys(nil, 1, size)) },
+		"overlap": func() error {
+			fresh := NewInterner()
+			if err := fresh.ImportKeys(0, 5, in.AppendKeys(nil, 0, 5)); err != nil {
+				t.Fatal(err)
+			}
+			return fresh.ImportKeys(4, int(size-4), in.AppendKeys(nil, 4, size))
+		},
+		"empty-key":     func() error { return NewInterner().ImportKeys(0, 2, append(bytes.Clone(first), 0)) },
+		"duplicate-key": func() error { return NewInterner().ImportKeys(0, 2, append(bytes.Clone(first), first...)) },
+		"truncated":     func() error { return NewInterner().ImportKeys(0, int(size), all[:len(all)-1]) },
+		"short-count":   func() error { return NewInterner().ImportKeys(0, int(size-1), all) },
 	}
-	// Duplicate a key by re-emitting the whole blob body twice under a
-	// doubled count — re-interning must detect the non-dense ID.
-	for name, data := range cases {
-		if _, err := ImportInterner(data); err == nil {
-			t.Errorf("%s: import succeeded", name)
+	for name, importBad := range cases {
+		if err := importBad(); err == nil {
+			t.Errorf("%s: ImportKeys accepted a corrupt list", name)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendKeys beyond Size did not panic")
+		}
+	}()
+	in.AppendKeys(nil, 0, size+1)
 }

@@ -211,10 +211,11 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		}
 	}
 	if s.pager != nil {
-		// The receiver's round just stopped being the head: persist it and
-		// hand its columns to the pager, which evicts them once the hot set
-		// outgrows the budget. Chain walks fault them back transparently.
-		if err := s.fr.spill(s.pager); err != nil {
+		// The receiver's round just stopped being the head: persist it
+		// (unless a checkpoint already did) and hand its columns to the
+		// pager, which evicts them once the hot set outgrows the budget.
+		// Chain walks fault them back transparently.
+		if err := s.fr.spill(s.pager, s.Interner); err != nil {
 			return nil, err
 		}
 	}

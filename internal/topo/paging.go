@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -18,30 +20,69 @@ import (
 // Analyzer sessions (internal/ckpt). See DESIGN.md §9.
 //
 // The design exploits that frontiers are immutable once built: a round is
-// encoded and persisted the moment it stops being the head (extendOne), so
-// eviction is just dropping the in-memory columns — there is no write-back,
-// and a fault is a checksum-verified re-read. The horizon-0 base is never
-// spilled (it carries the input vectors every Inputs lookup needs), and the
-// head round is never registered for eviction (the hot loops read its
-// columns without faulting).
+// encoded and persisted exactly once — when a checkpoint first needs it
+// (SnapshotChain) or when it stops being the head (extendOne), whichever
+// comes first — so eviction is just dropping the in-memory columns: there
+// is no write-back, and a fault is a checksum-verified re-read. The
+// horizon-0 base is never spilled (it carries the input vectors every
+// Inputs lookup needs), and the head round is never registered for
+// eviction (the hot loops read its columns without faulting).
+//
+// A page also carries the keys of the views its round introduced — the
+// interner IDs [hi(t-1), hi(t)), where hi(t) is the interner size when
+// page t was encoded and hi(0) = 0 — so a checkpoint needs no separate
+// interner file: restore rebuilds the interner page by page, and a save
+// writes only the new round. Page payload layout (every integer a uvarint):
+//
+//	column section length, then the columns: horizon, n, count, ids,
+//	  heard, the round-graph dictionary (dict size, then n in-masks per
+//	  graph), per-item dict indices, parentOf, rootOf
+//	views section: lo, key count, and per key its length and bytes (the
+//	  views lo, lo+1, …; ptg.Interner.AppendKeys)
+//
+// Only the column section is ever resident, so only it is charged to the
+// pager's hot set; a fault ignores the views section.
 
 // roundPageID names the page of the frontier at the given horizon; one
 // pager serves one chain, so the horizon is the identity.
 func roundPageID(horizon int) string { return fmt.Sprintf("round-%03d", horizon) }
 
-// spill persists the frontier's columns and registers them with the pager,
-// which may now evict them (dropping the in-memory copy) whenever the hot
-// set exceeds its budget. Idempotent; the base frontier is never spilled.
-func (f *frontier) spill(pg *pager.Pager) error {
+// spill registers the round's page with the pager, which may now evict the
+// columns (dropping the in-memory copy) whenever the hot set exceeds its
+// budget. The page is encoded and written first unless a checkpoint
+// already persisted it. Idempotent; the base frontier is never spilled.
+func (f *frontier) spill(pg *pager.Pager, in *ptg.Interner) error {
 	if f.horizon == 0 || f.pg != nil {
 		return nil
 	}
-	id := roundPageID(f.horizon)
-	if err := pg.Put(id, f.encodeColumns(), f.evict); err != nil {
+	if !f.persisted {
+		if err := f.persist(pg, in); err != nil {
+			return err
+		}
+	}
+	if err := pg.Register(f.pageID, f.colBytes, f.evict); err != nil {
 		return err
 	}
 	f.pg = pg
-	f.pageID = id
+	return nil
+}
+
+// persist encodes the round's page — its columns plus the keys of every
+// view interned since the previous round's page — and writes it. Rounds
+// must be persisted in horizon order, since each page's views range starts
+// where its predecessor's ends. The round's columns must be resident,
+// which they are: only persisted rounds can be evicted.
+func (f *frontier) persist(pg *pager.Pager, in *ptg.Interner) error {
+	if f.prev.horizon > 0 && !f.prev.persisted {
+		return fmt.Errorf("topo: round %d persisted before round %d", f.horizon, f.prev.horizon)
+	}
+	lo, hi := f.prev.viewsHi, ptg.ViewID(in.Size())
+	payload, colBytes := f.encodePage(lo, int(hi-lo), func(buf []byte) []byte { return in.AppendKeys(buf, lo, hi) })
+	id := roundPageID(f.horizon)
+	if err := pg.Persist(id, payload); err != nil {
+		return err
+	}
+	f.pageID, f.persisted, f.colBytes, f.viewsHi = id, true, colBytes, hi
 	return nil
 }
 
@@ -75,17 +116,39 @@ func (f *frontier) ensure() error {
 	if err != nil {
 		return err
 	}
-	return f.decodeColumns(payload)
+	cols, _, err := pageSections(payload)
+	if err != nil {
+		return err
+	}
+	return f.decodeColumns(cols)
 }
 
-// encodeColumns serializes the round's columns: header (horizon, n, count),
-// ids, heard, a deduplicated round-graph dictionary plus per-item indices
-// (one round's graphs come from a small Choices menu, so the dictionary
-// keeps decoded rounds sharing graph backing arrays), parentOf and rootOf.
-// All integers are varint-coded; framing and checksums are the pager's job.
-func (f *frontier) encodeColumns() []byte {
+// encodePage serializes the round's page: the column section behind its
+// length, then the views section — lo, count, and the keys of the views
+// lo…lo+count−1 as appendKeys writes them. It returns the payload and the
+// size of its column section.
+func (f *frontier) encodePage(lo ptg.ViewID, count int, appendKeys func([]byte) []byte) (payload []byte, colBytes int64) {
+	// The column section's length is known only once it is encoded; it is
+	// then written right-aligned into a gap wide enough for any uvarint, so
+	// nothing is encoded twice or copied.
+	const gap = binary.MaxVarintLen64
+	buf := make([]byte, gap, gap+16+f.count*(2*f.n+3)*2)
+	buf = f.appendColumns(buf)
+	cols := uint64(len(buf) - gap)
+	start := gap - uvarintLen(cols)
+	binary.PutUvarint(buf[start:], cols)
+	buf = binary.AppendUvarint(buf, uint64(lo))
+	buf = binary.AppendUvarint(buf, uint64(count))
+	return appendKeys(buf)[start:], int64(cols)
+}
+
+// appendColumns serializes the round's columns: header (horizon, n,
+// count), ids, heard, a deduplicated round-graph dictionary plus per-item
+// indices (one round's graphs come from a small Choices menu, so the
+// dictionary keeps decoded rounds sharing graph backing arrays), parentOf
+// and rootOf. Framing and checksums are the pager's job.
+func (f *frontier) appendColumns(buf []byte) []byte {
 	n, count := f.n, f.count
-	buf := make([]byte, 0, 16+count*(2*n+3)*2)
 	buf = binary.AppendUvarint(buf, uint64(f.horizon))
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(count))
@@ -95,18 +158,38 @@ func (f *frontier) encodeColumns() []byte {
 	for _, h := range f.heard {
 		buf = binary.AppendUvarint(buf, h)
 	}
+	// Dictionary entries appear in order of first use. Consecutive items
+	// often share a graph, so the last hit is checked first; otherwise a
+	// hash of the in-masks finds the candidate and Equal confirms it (a
+	// collision falls back to a scan).
 	dict := make([]graph.Graph, 0, 16)
-	dictIdx := make(map[string]int, 16)
-	gidx := make([]int, count)
+	byHash := make(map[uint64]int32, 16)
+	gidx := make([]int32, count)
+	last := int32(-1)
 	for i, g := range f.gs {
-		key := g.Key()
-		di, ok := dictIdx[key]
-		if !ok {
-			di = len(dict)
-			dictIdx[key] = di
-			dict = append(dict, g)
+		if last >= 0 && dict[last].Equal(g) {
+			gidx[i] = last
+			continue
 		}
-		gidx[i] = di
+		h := maskHash(g)
+		di, ok := byHash[h]
+		if !ok || !dict[di].Equal(g) {
+			di = -1
+			for j := 0; ok && j < len(dict); j++ {
+				if dict[j].Equal(g) {
+					di = int32(j)
+					break
+				}
+			}
+			if di < 0 {
+				di = int32(len(dict))
+				dict = append(dict, g)
+				if !ok {
+					byHash[h] = di
+				}
+			}
+		}
+		gidx[i], last = di, di
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(dict)))
 	for _, g := range dict {
@@ -124,6 +207,48 @@ func (f *frontier) encodeColumns() []byte {
 		buf = binary.AppendUvarint(buf, uint64(r))
 	}
 	return buf
+}
+
+// maskHash is FNV-1a over a graph's in-masks, one word per step.
+func maskHash(g graph.Graph) uint64 {
+	h := uint64(14695981039346656037)
+	for q := 0; q < g.N(); q++ {
+		h = (h ^ g.In(q)) * 1099511628211
+	}
+	return h
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return max(1, (bits.Len64(v)+6)/7) }
+
+// pageSections splits a page payload into its column section and its
+// views section.
+func pageSections(payload []byte) (cols, views []byte, err error) {
+	d := &pageDecoder{data: payload}
+	n := d.uvarint()
+	if d.err != nil {
+		return nil, nil, d.err
+	}
+	if n > uint64(len(d.data)) {
+		return nil, nil, fmt.Errorf("topo: frontier page column section of %d bytes in %d", n, len(d.data))
+	}
+	return d.data[:n], d.data[n:], nil
+}
+
+// decodeViews parses a views section into its first view ID, its view
+// count and its key list (for ptg.Interner.ImportKeys, which validates
+// the keys); the list aliases the section.
+func decodeViews(sec []byte) (lo ptg.ViewID, count int, list []byte, err error) {
+	d := &pageDecoder{data: sec}
+	first, n := d.uvarint(), d.uvarint()
+	if d.err != nil {
+		return 0, 0, nil, d.err
+	}
+	// Every key takes at least two bytes (a length and one byte of key).
+	if first > math.MaxInt32 || n > uint64(len(d.data))/2 || first+n > math.MaxInt32 {
+		return 0, 0, nil, fmt.Errorf("topo: frontier page views [%d, +%d) out of range", first, n)
+	}
+	return ptg.ViewID(first), int(n), d.data, nil
 }
 
 // pageDecoder reads back-to-back uvarints with strict bounds.
@@ -145,7 +270,7 @@ func (d *pageDecoder) uvarint() uint64 {
 	return v
 }
 
-// decodeColumns rebuilds the columns from an encodeColumns payload,
+// decodeColumns rebuilds the columns from an appendColumns section,
 // validating the header against the frontier's immutable identity (which
 // survives eviction) and every index against its column's range.
 func (f *frontier) decodeColumns(payload []byte) error {
@@ -188,7 +313,10 @@ func (f *frontier) decodeColumns(payload []byte) error {
 	gs := make([]graph.Graph, count)
 	for i := range gs {
 		di := d.uvarint()
-		if d.err == nil && di >= uint64(dictLen) {
+		if d.err != nil {
+			return d.err
+		}
+		if di >= uint64(dictLen) {
 			return fmt.Errorf("topo: frontier page graph index %d out of %d", di, dictLen)
 		}
 		gs[i] = dict[di]
@@ -232,43 +360,31 @@ type ChainRound struct {
 	Horizon int    `json:"horizon"`
 	Count   int    `json:"count"`
 	PageID  string `json:"pageID"`
-	// Bytes is the encoded payload size, recorded so a resume can adopt the
-	// page by reference without reading it.
-	Bytes int64 `json:"bytes"`
 }
 
 // SnapshotChain persists every round of the space's frontier chain that is
-// not yet on disk (under the Analyzer flow that is only the head — every
-// older round was spilled when it stopped being the head) and returns the
-// page references for horizons 1..Horizon, ascending. The head stays
-// resident and unregistered; already-spilled rounds are referenced without
-// touching their residency.
+// not yet on disk — under the Analyzer flow that is only the head, every
+// older round having been persisted when it stopped being the head — and
+// returns the page references for horizons 1..Horizon, ascending. Pending
+// rounds are encoded in ascending order, as their views ranges chain. The
+// head stays resident and unregistered; when it later stops being the head
+// its page is registered without being encoded or written again.
 func (s *Space) SnapshotChain() ([]ChainRound, error) {
 	if s.pager == nil {
 		return nil, errors.New("topo: SnapshotChain requires a pager (Config.Pager)")
 	}
-	rounds := make([]ChainRound, s.Horizon)
-	for f := s.fr; f != nil && f.horizon > 0; f = f.prev {
-		cr := ChainRound{Horizon: f.horizon, Count: f.count}
-		if f.pg != nil {
-			cr.PageID = f.pageID
-			size, ok := s.pager.SizeOf(f.pageID)
-			if !ok {
-				return nil, fmt.Errorf("topo: SnapshotChain: round %d page %q not registered", f.horizon, f.pageID)
-			}
-			cr.Bytes = size
-		} else {
-			if err := f.ensure(); err != nil {
-				return nil, err
-			}
-			payload := f.encodeColumns()
-			cr.PageID = roundPageID(f.horizon)
-			cr.Bytes = int64(len(payload))
-			if err := s.pager.Persist(cr.PageID, payload); err != nil {
-				return nil, err
-			}
+	var pending []*frontier
+	for f := s.fr; f.horizon > 0 && !f.persisted; f = f.prev {
+		pending = append(pending, f)
+	}
+	for i := len(pending) - 1; i >= 0; i-- {
+		if err := pending[i].persist(s.pager, s.Interner); err != nil {
+			return nil, err
 		}
-		rounds[f.horizon-1] = cr
+	}
+	rounds := make([]ChainRound, s.Horizon)
+	for f := s.fr; f.horizon > 0; f = f.prev {
+		rounds[f.horizon-1] = ChainRound{Horizon: f.horizon, Count: f.count, PageID: f.pageID}
 	}
 	return rounds, nil
 }
@@ -279,10 +395,6 @@ type ChainSpec struct {
 	InputDomain int
 	MaxRuns     int // ≤ 0 selects DefaultMaxRuns
 	Parallelism int
-	// Interner must be the imported interner of the checkpointed session:
-	// restore re-derives nothing, so the page's ViewIDs are only meaningful
-	// against the arena they were interned into.
-	Interner *ptg.Interner
 	// Pager owns the page directory the rounds reference.
 	Pager *pager.Pager
 	// Rounds are the persisted rounds, horizons 1..H ascending (from
@@ -301,18 +413,24 @@ type ChainSpec struct {
 // RestoreChain rebuilds the frontier chain of a checkpointed session and
 // returns the space at the deepest horizon, ready to Extend further.
 //
+// The interner is rebuilt page by page: each page's views section is
+// imported first — its IDs must continue the interner densely — and only
+// then are the page's columns decoded and their ViewIDs checked against
+// it. Page 1 carries the horizon-0 leaf views, so the base is built after
+// importing it and finds every leaf under its recorded ID.
+//
 // The automaton states are not serialized (ma.State is opaque by design);
 // they are recomputed by deterministic replay: round by round, every page
 // is read and checksum-verified exactly once, the adversary is stepped
 // along the recorded round graphs, and the round is then registered with
 // the pager and evicted again — so restore memory stays at ~two rounds
-// plus one state column regardless of depth, and a corrupt page surfaces
-// here as a clean error, never as a wrong resume.
+// plus one state column (and the interner) regardless of depth, and a
+// corrupt page surfaces here as a clean error, never as a wrong resume.
 //
 //topocon:allow ctxflow -- pre-context bootstrap path behind ckpt.Load/RestoreAnalyzer; work is bounded by the already-checkpointed chain, with no external waits to cancel
 func RestoreChain(spec ChainSpec) (*Space, error) {
-	if spec.Adversary == nil || spec.Interner == nil || spec.Pager == nil {
-		return nil, errors.New("topo: RestoreChain: adversary, interner and pager are required")
+	if spec.Adversary == nil || spec.Pager == nil {
+		return nil, errors.New("topo: RestoreChain: adversary and pager are required")
 	}
 	maxRuns := spec.MaxRuns
 	if maxRuns <= 0 {
@@ -320,9 +438,13 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 	}
 	adv := spec.Adversary
 	n := adv.N()
-	s := buildBaseSym(adv, spec.InputDomain, spec.Interner, maxRuns, spec.Parallelism, spec.Symmetry)
-	s.pager = spec.Pager
-	internedViews := ptg.ViewID(spec.Interner.Size())
+	in := ptg.NewInterner()
+	newBase := func() *Space {
+		base := buildBaseSym(adv, spec.InputDomain, in, maxRuns, spec.Parallelism, spec.Symmetry)
+		base.pager = spec.Pager
+		return base
+	}
+	var s *Space
 	for ri, cr := range spec.Rounds {
 		if cr.Horizon != ri+1 {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d has horizon %d, want %d", ri, cr.Horizon, ri+1)
@@ -334,20 +456,39 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := &frontier{
-			horizon: cr.Horizon,
-			n:       n,
-			count:   cr.Count,
-			prev:    s.fr,
-			base:    s.fr.base,
+		cols, views, err := pageSections(payload)
+		if err != nil {
+			return nil, fmt.Errorf("topo: RestoreChain: round %d: %w", cr.Horizon, err)
 		}
-		if err := f.decodeColumns(payload); err != nil {
+		lo, count, list, err := decodeViews(views)
+		if err != nil {
+			return nil, fmt.Errorf("topo: RestoreChain: round %d: %w", cr.Horizon, err)
+		}
+		if err := in.ImportKeys(lo, count, list); err != nil {
+			return nil, fmt.Errorf("topo: RestoreChain: round %d views: %w", cr.Horizon, err)
+		}
+		hi := lo + ptg.ViewID(count)
+		if s == nil {
+			s = newBase()
+		}
+		f := &frontier{
+			horizon:   cr.Horizon,
+			n:         n,
+			count:     cr.Count,
+			prev:      s.fr,
+			base:      s.fr.base,
+			pageID:    cr.PageID,
+			persisted: true,
+			colBytes:  int64(len(cols)),
+			viewsHi:   hi,
+		}
+		if err := f.decodeColumns(cols); err != nil {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d: %w", cr.Horizon, err)
 		}
 		for _, id := range f.ids {
-			if id < 0 || id >= internedViews {
-				return nil, fmt.Errorf("topo: RestoreChain: round %d references view %d beyond interner size %d",
-					cr.Horizon, id, internedViews)
+			if id < 0 || id >= hi {
+				return nil, fmt.Errorf("topo: RestoreChain: round %d references view %d beyond its pages' %d views",
+					cr.Horizon, id, hi)
 			}
 		}
 		states := make([]ma.State, cr.Count)
@@ -368,7 +509,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 			Adversary:   adv,
 			InputDomain: spec.InputDomain,
 			Horizon:     cr.Horizon,
-			Interner:    spec.Interner,
+			Interner:    in,
 			fr:          f,
 			states:      states,
 			doneAt:      doneAt,
@@ -395,15 +536,18 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		if cr.Horizon < len(spec.Rounds) {
 			// Interior round: register it cold (the page was just validated)
 			// and drop the columns; walks fault them back on demand. The
-			// deepest round stays resident as the new head.
-			if err := spec.Pager.Adopt(cr.PageID, cr.Bytes, f.evict); err != nil {
+			// deepest round stays resident as the new head; its page is
+			// registered, not rewritten, once it stops being the head.
+			if err := spec.Pager.Adopt(cr.PageID, f.colBytes, f.evict); err != nil {
 				return nil, err
 			}
 			f.pg = spec.Pager
-			f.pageID = cr.PageID
 			f.evict()
 		}
 		s = next
+	}
+	if s == nil {
+		s = newBase()
 	}
 	return s, nil
 }

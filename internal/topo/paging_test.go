@@ -2,6 +2,8 @@ package topo
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"topocon/internal/ma"
@@ -75,11 +77,10 @@ func TestPagedHotBudgetCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	mustSnapshotChain(t, s)
 	var maxPage int64
-	for _, cr := range mustSnapshotChain(t, s) {
-		if cr.Bytes > maxPage {
-			maxPage = cr.Bytes
-		}
+	for f := s.fr; f.horizon > 0; f = f.prev {
+		maxPage = max(maxPage, f.colBytes)
 	}
 	if st := pg.Stats(); st.PeakHotBytes > budget+maxPage {
 		t.Fatalf("peak hot bytes %d exceed budget %d + largest page %d", st.PeakHotBytes, budget, maxPage)
@@ -96,7 +97,7 @@ func mustSnapshotChain(t *testing.T, s *Space) []ChainRound {
 }
 
 // TestSnapshotRestoreChain is the core resume invariant at the topo layer:
-// exporting the interner plus the chain pages and restoring them in fresh
+// restoring the chain pages — which carry the interner's keys — in fresh
 // objects (as a new process would) reproduces the space exactly — same
 // ViewIDs, same states behaviourally (pinned by extending one more round
 // and comparing), with zero re-extension of the checkpointed rounds.
@@ -114,19 +115,13 @@ func TestSnapshotRestoreChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := ptg.NewInterner()
-		s, err := BuildCtx(ctx, adv, 2, horizon, Config{Pager: pg, Interner: in})
+		s, err := BuildCtx(ctx, adv, 2, horizon, Config{Pager: pg})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
 		rounds := mustSnapshotChain(t, s)
-		blob := in.Export()
 
-		// "New process": fresh interner, fresh pager over the same dir.
-		in2, err := ptg.ImportInterner(blob)
-		if err != nil {
-			t.Fatalf("%s: ImportInterner: %v", adv.Name(), err)
-		}
+		// "New process": fresh pager over the same dir.
 		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: budget})
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +129,6 @@ func TestSnapshotRestoreChain(t *testing.T) {
 		restored, err := RestoreChain(ChainSpec{
 			Adversary:   adv,
 			InputDomain: 2,
-			Interner:    in2,
 			Pager:       pg2,
 			Rounds:      rounds,
 		})
@@ -142,8 +136,11 @@ func TestSnapshotRestoreChain(t *testing.T) {
 			t.Fatalf("%s: RestoreChain: %v", adv.Name(), err)
 		}
 		assertSpacesEqual(t, adv.Name(), s, restored)
-		// Imported interners reproduce IDs, so even the raw view columns
-		// must agree.
+		if restored.Interner.Size() != s.Interner.Size() {
+			t.Fatalf("%s: restored interner holds %d views, want %d", adv.Name(), restored.Interner.Size(), s.Interner.Size())
+		}
+		// Imported keys reproduce IDs, so even the raw view columns must
+		// agree.
 		for i := 0; i < s.Len(); i++ {
 			for p := 0; p < s.N(); p++ {
 				if s.ViewAt(i, p) != restored.ViewAt(i, p) {
@@ -176,27 +173,67 @@ func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := ptg.NewInterner()
-	s, err := BuildCtx(context.Background(), adv, 2, 3, Config{Pager: pg, Interner: in})
+	s, err := BuildCtx(context.Background(), adv, 2, 3, Config{Pager: pg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rounds := mustSnapshotChain(t, s)
-	// Swap two rounds' references: header validation must catch it.
+	// Swap two rounds' references: the views ranges no longer chain.
 	swapped := append([]ChainRound(nil), rounds...)
 	swapped[0].PageID, swapped[1].PageID = swapped[1].PageID, swapped[0].PageID
-	in2, err := ptg.ImportInterner(in.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
 	pg2, err := pager.New(pager.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RestoreChain(ChainSpec{
-		Adversary: adv, InputDomain: 2, Interner: in2, Pager: pg2, Rounds: swapped,
+		Adversary: adv, InputDomain: 2, Pager: pg2, Rounds: swapped,
 	}); err == nil {
 		t.Fatal("RestoreChain accepted swapped round pages")
+	}
+}
+
+// TestHeadPageEncodedOnce pins that a round is encoded and written once:
+// the head page a checkpoint persisted is registered, not rewritten, when
+// the next extension spills it, so the pager's write count always equals
+// the page files on disk.
+func TestHeadPageEncodedOnce(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	pg, err := pager.New(pager.Config{Dir: dir, HotBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := BuildCtx(ctx, ma.LossyLink3(), 2, 3, Config{Pager: pg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	headPath := filepath.Join(dir, roundPageID(3)+".page")
+	mustSnapshotChain(t, s)
+	before, err := os.Stat(headPath)
+	if err != nil {
+		t.Fatalf("SnapshotChain did not persist the head: %v", err)
+	}
+	next, err := s.Extend(ctx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.fr.persisted || s.fr.pg != pg {
+		t.Fatal("the old head was not spilled")
+	}
+	after, err := os.Stat(headPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("spilling the checkpointed head rewrote its page file")
+	}
+	mustSnapshotChain(t, next)
+	files, err := filepath.Glob(filepath.Join(dir, "*.page"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pg.Stats(); st.PagesWritten != int64(len(files)) || len(files) != 4 {
+		t.Errorf("PagesWritten = %d for %d page files, want 4", st.PagesWritten, len(files))
 	}
 }
 

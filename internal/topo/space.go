@@ -67,12 +67,18 @@ type frontier struct {
 	// cached so input lookups need no chain walk.
 	base *frontier
 
-	// Out-of-core state (see paging.go): once spilled, pg/pageID locate the
-	// persisted copy of the columns, and ids == nil marks them evicted. The
+	// Out-of-core state (see paging.go): once persisted, pageID names the
+	// round's page file, colBytes is the size of its column section (what
+	// the round charges the hot set) and viewsHi is the interner size the
+	// page's views section ends at. Once spilled, pg is the pager the page
+	// is registered with, and ids == nil marks the columns evicted. The
 	// identity fields above (horizon, n, count, prev, base) always stay
 	// resident. nil pg means the round is not paged.
-	pg     *pager.Pager
-	pageID string
+	pg        *pager.Pager
+	pageID    string
+	persisted bool
+	colBytes  int64
+	viewsHi   ptg.ViewID
 }
 
 // idRow returns the ViewID row of item i (aliases the column; read-only).

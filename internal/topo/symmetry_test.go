@@ -164,16 +164,11 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := ptg.NewInterner()
-		s, err := BuildCtx(ctx, adv, 2, horizon, Config{Pager: pg, Interner: in, Symmetry: grp})
+		s, err := BuildCtx(ctx, adv, 2, horizon, Config{Pager: pg, Symmetry: grp})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
 		rounds := mustSnapshotChain(t, s)
-		in2, err := ptg.ImportInterner(in.Export())
-		if err != nil {
-			t.Fatal(err)
-		}
 		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 256})
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +176,6 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 		restored, err := RestoreChain(ChainSpec{
 			Adversary:   adv,
 			InputDomain: 2,
-			Interner:    in2,
 			Pager:       pg2,
 			Rounds:      rounds,
 			Symmetry:    grp,

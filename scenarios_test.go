@@ -2,8 +2,10 @@ package topocon_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"topocon"
@@ -163,5 +165,50 @@ func TestScenarioCorpusTemplates(t *testing.T) {
 				t.Errorf("sweep finished %d of %d cells", report.Summary.Done, len(cells))
 			}
 		})
+	}
+}
+
+// TestScenarioFingerprintsPinned pins the behavioural fingerprint of every
+// scenario and every template cell in scenarios/ to the values recorded in
+// testdata/scenario-fingerprints.golden. Verdict-store keys hash these
+// fingerprints, so any change to them — including a change to the byte
+// layout of graph.Graph.Key, which Fingerprint sorts transitions by —
+// would orphan every stored verdict.
+func TestScenarioFingerprintsPinned(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "scenario-fingerprints.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	files, templates := corpusFiles(t)
+	for _, file := range files {
+		s, err := topocon.LoadScenario(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %s\n", filepath.Base(file), s.Fingerprint(fingerprintDepth))
+	}
+	for _, file := range templates {
+		tpl, err := topocon.LoadTemplate(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := tpl.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			fmt.Fprintf(&got, "%s %s %s\n", filepath.Base(file), c.Scenario.Name, c.Scenario.Fingerprint(fingerprintDepth))
+		}
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	have := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
+	if len(want) != len(have) {
+		t.Fatalf("corpus has %d fingerprinted entries, golden file %d:\n%s", len(have), len(want), got.String())
+	}
+	for i := range want {
+		if want[i] != have[i] {
+			t.Errorf("fingerprint changed:\n got  %s\n want %s", have[i], want[i])
+		}
 	}
 }
